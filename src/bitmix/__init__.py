@@ -7,7 +7,7 @@ Monte-Carlo experiment harness.
 """
 
 from .bundle import DesignBundle, build_design, load_design, save_design
-from .code import ERASURE, Codebook, ReceivedWord, symbol_pack, symbol_unpack
+from .code import ERASURE, Codebook, symbol_pack, symbol_unpack
 from .errors import (
     BitmixError,
     ConstructionFailed,
@@ -29,13 +29,9 @@ from .masking import (
     VerifyReport,
     build_lcs,
     build_smallk_set,
-    check_lcs_conditions,
     check_lcs_conditions_all,
     collisions,
     construct_candidate,
-    extend_lcs,
-    load_masking_set,
-    save_masking_set,
     smallk_pairs_ok,
     verify_promising,
 )

@@ -2,16 +2,21 @@
 
 Masking set + codebook shape + assignment seed fully determine both batches
 for every item, so a persisted bundle can be rebuilt bit-identically later or
-on another machine.  Files are JSON with a sha256 over the canonical payload;
-any edit (or a params/offsets mismatch) surfaces as CorruptDesignFile.
+on another machine.  The bundle is the only persisted design format: JSON
+with the params, the base64 string offsets and a sha256 over the canonical
+payload; any edit (or a params/offsets mismatch) surfaces as
+CorruptDesignFile.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .code import Codebook
 from .errors import CorruptDesignFile
@@ -20,8 +25,6 @@ from .masking import (
     build_lcs,
     build_smallk_set,
     construct_candidate,
-    masking_set_from_payload,
-    _canonical_payload,
 )
 from .params import REGIME_GENERAL, REGIME_SMALLK, SchemeParams, derive_params
 from .scheme import Assignment
@@ -29,6 +32,10 @@ from .seeding import derive_seed
 
 _BUNDLE_FORMAT = "bitmix-design"
 _BUNDLE_VERSION = 1
+# The nested masking payload keeps its own tag and version: they are part of
+# the hashed bytes, so dropping them would stop saved designs from loading.
+_SET_FORMAT = "bitmix-masking-set"
+_SET_VERSION = 1
 
 
 @dataclass
@@ -85,6 +92,46 @@ def build_design(
     return DesignBundle(mset, assign_seed)
 
 
+def _sha256(payload: dict) -> str:
+    """Hex sha256 of the canonical (sorted-key, compact) JSON of payload."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+
+
+def _canonical_payload(mset: MaskingSet) -> dict:
+    dtype = "<u2" if mset.params.segment_len <= 0xFFFF else "<u4"
+    return {
+        "format": _SET_FORMAT,
+        "version": _SET_VERSION,
+        "regime": mset.params.regime,
+        "params": mset.params.to_json(),
+        "seed": int(mset.seed),
+        "status": mset.status,
+        "offsets_dtype": dtype,
+        "offsets": base64.b64encode(
+            np.ascontiguousarray(mset.offsets, dtype=dtype).tobytes()
+        ).decode("ascii"),
+    }
+
+
+def _masking_set_from_payload(payload, origin) -> MaskingSet:
+    if not isinstance(payload, dict) or payload.get("format") != _SET_FORMAT:
+        raise CorruptDesignFile(f"{origin}: no masking set in the design")
+    if payload.get("version") != _SET_VERSION:
+        raise CorruptDesignFile(f"{origin}: unsupported version {payload.get('version')!r}")
+    dtype = payload.get("offsets_dtype", "<u2")
+    if dtype not in ("<u2", "<u4"):
+        raise CorruptDesignFile(f"{origin}: unsupported offsets dtype {dtype!r}")
+    try:
+        params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
+        raw = base64.b64decode(payload["offsets"].encode("ascii"), validate=True)
+        offsets = np.frombuffer(raw, dtype=dtype).astype(np.int32)
+        offsets = offsets.reshape(params.s_size, params.w)
+        return MaskingSet(offsets, params, int(payload["seed"]), payload["status"])
+    except Exception as exc:
+        raise CorruptDesignFile(f"{origin}: inconsistent content ({exc})") from exc
+
+
 def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
     payload = {
         "format": _BUNDLE_FORMAT,
@@ -97,8 +144,7 @@ def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
         },
         "masking": _canonical_payload(bundle.masking),
     }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["sha256"] = hashlib.sha256(canon.encode("ascii")).hexdigest()
+    payload["sha256"] = _sha256(payload)
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -115,10 +161,9 @@ def load_design(path: str | os.PathLike) -> DesignBundle:
     if payload.get("version") != _BUNDLE_VERSION:
         raise CorruptDesignFile(f"{path}: unsupported version {payload.get('version')!r}")
     recorded = payload.pop("sha256", None)
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if recorded != hashlib.sha256(canon.encode("ascii")).hexdigest():
+    if recorded != _sha256(payload):
         raise CorruptDesignFile(f"{path}: content hash mismatch")
-    mset = masking_set_from_payload(payload["masking"], origin=path, require_hash=False)
+    mset = _masking_set_from_payload(payload.get("masking"), path)
     cb = payload.get("codebook", {})
     if (cb.get("w"), cb.get("ell")) != (mset.params.w, mset.params.ell):
         raise CorruptDesignFile(f"{path}: codebook shape disagrees with params")

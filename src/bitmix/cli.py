@@ -2,7 +2,7 @@
 
 Subcommands:
   build-design  construct and persist a design bundle for one (n, k, xi) cell
-  verify-set    re-run the collision certificate on a persisted design/set
+  verify-set    re-run the collision certificate on a persisted design
   run           Monte-Carlo experiment over one cell or a JSON config grid
   report        render a results file to a per-cell CSV summary
 """
@@ -22,7 +22,7 @@ from .harness import (
     run_experiment,
     timings_path_for,
 )
-from .masking import load_masking_set, smallk_pairs_ok, verify_promising
+from .masking import smallk_pairs_ok, verify_promising
 from .params import REGIMES, REGIME_GENERAL, REGIME_SMALLK
 
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-attempts", type=int, default=None)
 
     p = sub.add_parser("verify-set", help="re-run the certificate on a saved design")
-    p.add_argument("--design", required=True, help="design bundle or masking-set file")
+    p.add_argument("--design", required=True, help="design bundle file")
 
     p = sub.add_parser("run", help="run Monte-Carlo trials")
     _add_cell_args(p)
@@ -88,11 +88,7 @@ def _cmd_build_design(args) -> int:
 
 
 def _cmd_verify_set(args) -> int:
-    try:
-        bundle = load_design(args.design)
-        mset = bundle.masking
-    except BitmixError:
-        mset = load_masking_set(args.design)
+    mset = load_design(args.design).masking
     regime = mset.params.regime
     if regime == REGIME_SMALLK:
         ok = smallk_pairs_ok(mset)

@@ -15,7 +15,6 @@ and checked against every non-erased symbol, and a decoded index outside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,8 @@ from .gf import GF2m, get_field
 ERASURE = -1
 
 
-@dataclass
-class ReceivedWord:
-    """A length-w symbol vector; entries are symbol values or ERASURE (-1)."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=np.int64)
-        if self.symbols.ndim != 1:
-            raise InvalidInput("received word must be one-dimensional")
-
-    @property
-    def erasure_count(self) -> int:
-        return int(np.count_nonzero(self.symbols == ERASURE))
-
-
 def _as_symbols(rw, w: int, q: int) -> np.ndarray:
-    symbols = rw.symbols if isinstance(rw, ReceivedWord) else np.asarray(rw, dtype=np.int64)
+    symbols = np.asarray(rw, dtype=np.int64)
     if symbols.shape != (w,):
         raise InvalidInput(f"received word must have length {w}, got {symbols.shape}")
     if symbols.min(initial=0) < ERASURE or symbols.max(initial=0) >= q:
@@ -74,14 +57,6 @@ class Codebook:
         self.field: GF2m = get_field(ell)
         self.points = np.arange(w, dtype=np.int64)
         self._vand = self.field.vandermonde(self.points, self.m)
-
-    @property
-    def rate(self) -> float:
-        return self.m / self.w
-
-    @property
-    def n_max(self) -> int:
-        return self.q**self.m
 
     def _digits(self, i: int) -> np.ndarray:
         v = i - 1
@@ -110,10 +85,6 @@ class Codebook:
                 cw ^= self.field.mul(self._vand[:, d], msg[d])
         return cw
 
-    def encode_block(self, indices) -> np.ndarray:
-        """Row-per-item codeword matrix for a batch of indices."""
-        return np.array([self.encode_index(int(i)) for i in np.asarray(indices).ravel()])
-
     def decode_erasures(self, rw) -> int:
         """Recover the item index from a word with erasures but no errors.
 
@@ -128,11 +99,7 @@ class Codebook:
             raise TooManyErasures(f"{f} erasures exceed capability {self.w - self.m}")
         sub = clean[: self.m]
         msg = self.field.solve(self._vand[sub], symbols[sub])
-        check = np.zeros(clean.size, dtype=np.int64)
-        for d in range(self.m):
-            if msg[d]:
-                check ^= self.field.mul(self._vand[clean, d], msg[d])
-        if np.any(check != symbols[clean]):
+        if np.any(self._eval(msg)[clean] != symbols[clean]):
             raise InconsistentWord("surviving symbols match no codeword")
         idx = self._index_of(msg)
         if idx > self.n:
@@ -166,11 +133,7 @@ class Codebook:
 
         msg = np.zeros(self.m, dtype=np.int64)
         msg[: len(msg_poly)] = msg_poly
-        check = np.zeros(n_clean, dtype=np.int64)
-        for d in range(self.m):
-            if msg[d]:
-                check ^= self.field.mul(self._vand[clean, d], msg[d])
-        e = int(np.count_nonzero(check != ys))
+        e = int(np.count_nonzero(self._eval(msg)[clean] != ys))
         f = self.w - n_clean
         if 2 * e + f > self.w - self.m:
             raise DecodingFailure(

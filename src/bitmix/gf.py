@@ -75,14 +75,6 @@ class GF2m:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e by exponent arithmetic in the log domain."""
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-
     def vandermonde(self, points: np.ndarray, ncols: int) -> np.ndarray:
         """Matrix V with V[i, j] = points[i]**j."""
         points = np.asarray(points, dtype=np.int64)

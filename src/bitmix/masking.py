@@ -1,13 +1,13 @@
-"""Masking-string sets: construction, verification, extension, persistence.
+"""Masking-string sets: construction and verification.
 
 A masking string is a weight-w bit string of length c1*k*w with exactly one 1
 in each length-(c1*k) segment; we store only the w per-segment offsets.  Two
 strings "collide" at a segment when they chose the same offset there, and all
 set-quality notions are statistics of pairwise collision counts:
 
-* The per-trial decode conditions (`check_lcs_conditions`): the defectives'
-  strings must collide with each other, and every outside string with the
-  defective multiset, in at most w/2 positions total.
+* The per-trial decode conditions (`check_lcs_conditions_all`): the
+  defectives' strings must collide with each other, and every outside string
+  with the defective multiset, in at most w/2 positions total.
 
 * The deterministic certificate (`verify_promising`): for every string, the
   collision counts against the other |S|-1 strings must have mean within 4%
@@ -25,31 +25,23 @@ with denominator |S|-1), so the certificate cannot drift with float rounding.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     ConstructionFailed,
-    CorruptDesignFile,
     IndexOutOfRange,
     InvalidInput,
     ShapeMismatch,
 )
-from .params import SchemeParams, params_with_weight
+from .params import SchemeParams
 from .seeding import derive_seed
 
 STATUS_UNVERIFIED = "unverified"
 STATUS_PROMISING = "promising"
 STATUS_SMALLK = "smallk_verified"
 _STATUSES = (STATUS_UNVERIFIED, STATUS_PROMISING, STATUS_SMALLK)
-
-_SET_FORMAT = "bitmix-masking-set"
-_SET_VERSION = 1
 
 
 @dataclass
@@ -125,6 +117,14 @@ class MaskingSet:
             self._flat = self.offsets.astype(np.int64) + seg[None, :]
         return self._flat
 
+    def usage(self, strings) -> np.ndarray:
+        """(t1,) how many of the given strings (repeats counted) have a 1 at each position."""
+        return np.bincount(self.flat_positions[strings].ravel(), minlength=self.params.t1)
+
+    def scores(self, vec) -> np.ndarray:
+        """(s_size,) s^T vec for every string s: vec summed over its positions."""
+        return vec[self.flat_positions].sum(axis=1, dtype=np.int64)
+
 
 def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
     """Draw |S| strings with i.i.d. uniform segment offsets (unverified)."""
@@ -153,26 +153,14 @@ class CollisionStats:
     """Exact per-string collision statistics against the rest of the set.
 
     Means are sums/n_others; max deviations are max_dev_num/n_others; squared
-    deviation sums are sq_dev_num/n_others**2 (kept as Python ints: they can
-    exceed int64 once sets are concatenated a few times).
+    deviation sums are sq_dev_num/n_others**2 (kept as Python ints, because
+    the bound they are compared against can exceed int64).
     """
 
     sums: np.ndarray
     max_dev_num: np.ndarray
     sq_dev_num: list
     n_others: int
-
-    @property
-    def means(self) -> np.ndarray:
-        return self.sums / self.n_others
-
-    @property
-    def max_devs(self) -> np.ndarray:
-        return self.max_dev_num / self.n_others
-
-    @property
-    def sq_dev_sums(self) -> np.ndarray:
-        return np.array([s / self.n_others**2 for s in self.sq_dev_num])
 
 
 @dataclass
@@ -268,16 +256,6 @@ def build_lcs(params: SchemeParams, seed: int, max_attempts: int = 16) -> Maskin
     )
 
 
-def extend_lcs(mset: MaskingSet, c: int) -> MaskingSet:
-    """Concatenate each string with itself c times (collision counts scale by c)."""
-    if not isinstance(c, int) or c < 1:
-        raise InvalidInput(f"extension factor must be a positive integer, got {c}")
-    if c == 1:
-        return replace(mset, _flat=None)
-    new_params = params_with_weight(mset.params, c * mset.params.w)
-    return MaskingSet(np.tile(mset.offsets, (1, c)), new_params, mset.seed, mset.status)
-
-
 def smallk_pairs_ok(mset: MaskingSet) -> bool:
     """True when every pair collides in at most w/(2k) segments."""
     c = pairwise_collisions(mset.offsets)
@@ -301,13 +279,6 @@ def build_smallk_set(params: SchemeParams, seed: int, max_attempts: int = 1000) 
     )
 
 
-def _collisions_vs_chosen(mset: MaskingSet, chosen: np.ndarray) -> np.ndarray:
-    """(s_size, k') matrix: collisions of every set string with each chosen one."""
-    chosen_off = mset.offsets[chosen]
-    eq = mset.offsets[:, None, :] == chosen_off[None, :, :]
-    return eq.sum(axis=2, dtype=np.int64)
-
-
 def _validate_chosen(mset: MaskingSet, chosen) -> np.ndarray:
     chosen = np.asarray(chosen, dtype=np.int64)
     if chosen.ndim != 1:
@@ -317,111 +288,24 @@ def _validate_chosen(mset: MaskingSet, chosen) -> np.ndarray:
     return chosen
 
 
-def check_lcs_conditions(mset: MaskingSet, chosen, i: int) -> dict:
+def check_lcs_conditions_all(mset: MaskingSet, chosen) -> dict:
     """Per-trial decode-safety conditions for a realized selection.
 
-    chosen is the multiset of selected string indices (repeats allowed), i a
-    position within it.  Returns {"cond1": ..., "cond2": ...} where cond1
-    says every string outside the multiset collides with it at most w/2 in
-    total, and cond2 says chosen[i] collides with the other chosen strings at
-    most w/2 in total.  O(|S| * k' * w).
+    chosen is the multiset of selected string indices (repeats allowed).
+    Returns {"cond1": ..., "cond2_all": ...} where cond1 says every string
+    outside the multiset collides with it at most w/2 times in total, and
+    cond2_all says every position of chosen collides with the rest of the
+    multiset at most w/2 times in total.  A string's total against the
+    multiset is its score on the multiset's position usage, and a chosen
+    string's own term in that total is w, so this costs O(|S| * w).
     """
-    chosen = _validate_chosen(mset, chosen)
-    if not 0 <= i < chosen.size:
-        raise IndexOutOfRange(f"position {i} outside the chosen multiset")
-    w = mset.params.w
-    per = _collisions_vs_chosen(mset, chosen)
-    totals = per.sum(axis=1)
-    outside = np.ones(len(mset), dtype=bool)
-    outside[chosen] = False
-    cond1 = bool((2 * totals[outside] <= w).all())
-    cond2 = bool(2 * (totals[chosen[i]] - per[chosen[i], i]) <= w)
-    return {"cond1": cond1, "cond2": cond2}
-
-
-def check_lcs_conditions_all(mset: MaskingSet, chosen) -> dict:
-    """cond1 plus the conjunction of cond2 over every position of chosen."""
     chosen = _validate_chosen(mset, chosen)
     w = mset.params.w
     if chosen.size == 0:
         return {"cond1": True, "cond2_all": True}
-    per = _collisions_vs_chosen(mset, chosen)
-    totals = per.sum(axis=1)
+    totals = mset.scores(mset.usage(chosen))
     outside = np.ones(len(mset), dtype=bool)
     outside[chosen] = False
     cond1 = bool((2 * totals[outside] <= w).all())
-    own = totals[chosen] - per[chosen, np.arange(chosen.size)]
-    cond2_all = bool((2 * own <= w).all())
+    cond2_all = bool((2 * (totals[chosen] - w) <= w).all())
     return {"cond1": cond1, "cond2_all": cond2_all}
-
-
-# ---------------------------------------------------------------------------
-# Persistence.
-
-
-def _offsets_dtype(segment_len: int) -> str:
-    return "<u2" if segment_len <= 0xFFFF else "<u4"
-
-
-def _canonical_payload(mset: MaskingSet) -> dict:
-    dtype = _offsets_dtype(mset.params.segment_len)
-    return {
-        "format": _SET_FORMAT,
-        "version": _SET_VERSION,
-        "regime": mset.params.regime,
-        "params": mset.params.to_json(),
-        "seed": int(mset.seed),
-        "status": mset.status,
-        "offsets_dtype": dtype,
-        "offsets": base64.b64encode(
-            np.ascontiguousarray(mset.offsets, dtype=dtype).tobytes()
-        ).decode("ascii"),
-    }
-
-
-def _payload_hash(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
-
-
-def save_masking_set(mset: MaskingSet, path: str | os.PathLike) -> None:
-    payload = _canonical_payload(mset)
-    payload["sha256"] = _payload_hash({k: v for k, v in payload.items() if k != "sha256"})
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_masking_set(path: str | os.PathLike) -> MaskingSet:
-    try:
-        with open(path, encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CorruptDesignFile(f"cannot read masking set from {path}: {exc}") from exc
-    return masking_set_from_payload(payload, path)
-
-
-def masking_set_from_payload(payload: dict, origin="<memory>", require_hash=True) -> MaskingSet:
-    if not isinstance(payload, dict) or payload.get("format") != _SET_FORMAT:
-        raise CorruptDesignFile(f"{origin}: not a masking-set file")
-    if payload.get("version") != _SET_VERSION:
-        raise CorruptDesignFile(f"{origin}: unsupported version {payload.get('version')!r}")
-    if require_hash or "sha256" in payload:
-        recorded = payload.get("sha256")
-        body = {k: v for k, v in payload.items() if k != "sha256"}
-        if recorded != _payload_hash(body):
-            raise CorruptDesignFile(f"{origin}: content hash mismatch")
-    try:
-        params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
-        raw = base64.b64decode(payload["offsets"].encode("ascii"), validate=True)
-        dtype = payload.get("offsets_dtype", "<u2")
-        if dtype not in ("<u2", "<u4"):
-            raise CorruptDesignFile(f"{origin}: unsupported offsets dtype {dtype!r}")
-        offsets = np.frombuffer(raw, dtype=dtype).astype(np.int32)
-        offsets = offsets.reshape(params.s_size, params.w)
-        mset = MaskingSet(offsets, params, int(payload["seed"]), payload["status"])
-    except CorruptDesignFile:
-        raise
-    except Exception as exc:
-        raise CorruptDesignFile(f"{origin}: inconsistent content ({exc})") from exc
-    return mset

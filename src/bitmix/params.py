@@ -21,9 +21,8 @@ the code enough errors-and-erasures slack.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidInput
 
@@ -202,22 +201,6 @@ def derive_params(
     )
 
 
-def params_with_weight(params: SchemeParams, new_w: int) -> SchemeParams:
-    """Rebuild params for a different string weight (set concatenation).
-
-    ell is re-derived (the alphabet must still cover the longer block), and
-    the batch sizes follow from the new w.  All other inputs stay fixed.
-    """
-    if new_w < params.w:
-        raise InvalidInput("weight can only grow")
-    ell = 2
-    while (1 << ell) < new_w + 1:
-        ell += 1
-    ell = max(ell, 2)
-    t1 = params.c1 * params.k * new_w
-    return replace(params, w=new_w, ell=ell, t1=t1, t2=ell * t1)
-
-
 def total_test_bound(params: SchemeParams) -> float:
     """Scaling target for the total test count in the general regime:
     12 k * max{((ell+1)/ell) log2 n, 50 (ell+1) ln k}."""
@@ -226,7 +209,3 @@ def total_test_bound(params: SchemeParams) -> float:
         (ell + 1) / ell * _log2_int(params.n),
         50.0 * (ell + 1) * math.log(params.k),
     )
-
-
-def params_to_json_str(params: SchemeParams) -> str:
-    return json.dumps(params.to_json(), sort_keys=True)

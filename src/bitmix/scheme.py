@@ -143,8 +143,7 @@ def simulate_outcomes(
 
 def identify_strings(y1: Batch1Outcome, mset: MaskingSet, threshold: int) -> np.ndarray:
     """Indices (ascending) of strings with s^T y1 >= threshold, via O(w) gathers."""
-    scores = y1.bits[mset.flat_positions].sum(axis=1, dtype=np.int64)
-    return np.nonzero(scores >= threshold)[0]
+    return np.nonzero(mset.scores(y1.bits) >= threshold)[0]
 
 
 def identify_items(
@@ -169,8 +168,7 @@ def identify_items(
         return estimate, failures
 
     positions = mset.flat_positions[string_list]
-    usage = np.bincount(positions.ravel(), minlength=mset.params.t1)
-    erased = usage[positions] > 1  # a string never repeats a position
+    erased = mset.usage(string_list)[positions] > 1  # a string never repeats a position
 
     for row in range(string_list.size):
         word = np.where(erased[row], ERASURE, y2.symbols[positions[row]])
@@ -206,8 +204,26 @@ def decode(
     codebook: Codebook,
     threshold: int | None = None,
 ) -> DecodeResult:
-    """Full pipeline: string identification, then per-string index recovery."""
+    """Full pipeline: string identification, then per-string index recovery.
+
+    Raises InvalidInput when the outcomes do not fit the design: y1 must be
+    t1 bits in {0, 1}, y2 must be t1 symbols in [0, 2^ell) for the design's
+    ell.
+    """
     params = mset.params
+    if y1.bits.shape != (params.t1,) or y1.bits.max(initial=0) > 1:
+        raise InvalidInput(f"batch-1 outcome must be {params.t1} bits in {{0, 1}}")
+    symbols = y2.symbols
+    if (
+        symbols.shape != (params.t1,)
+        or y2.ell != params.ell
+        or symbols.min(initial=0) < 0
+        or symbols.max(initial=0) >= params.q
+    ):
+        raise InvalidInput(
+            f"batch-2 outcome must be {params.t1} symbols in [0, 2^{params.ell}), "
+            f"got shape {symbols.shape} with ell={y2.ell}"
+        )
     if threshold is None:
         threshold = batch1_threshold(params)
     t0 = time.perf_counter()

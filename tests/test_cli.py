@@ -3,8 +3,7 @@ import json
 import pytest
 
 from bitmix.cli import main
-from bitmix.masking import construct_candidate, save_masking_set
-from bitmix.params import derive_params
+from bitmix.bundle import build_design, save_design
 
 
 def test_build_and_verify_smallk(tmp_path, capsys):
@@ -24,9 +23,8 @@ def test_build_and_verify_smallk(tmp_path, capsys):
 
 
 def test_verify_set_fails_on_unverified_general(tmp_path, capsys):
-    mset = construct_candidate(derive_params(2**16, 5), seed=0)
-    path = tmp_path / "set.json"
-    save_masking_set(mset, path)
+    path = tmp_path / "design.json"
+    save_design(build_design(2**16, 5, seed=0, verify=False), path)
     rc = main(["verify-set", "--design", str(path)])
     assert rc == 1
     out = capsys.readouterr().out

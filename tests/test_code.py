@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitmix.code import ERASURE, Codebook, ReceivedWord, symbol_pack, symbol_unpack
+from bitmix.code import ERASURE, Codebook, symbol_pack, symbol_unpack
 from bitmix.errors import (
     DecodingFailure,
     InconsistentWord,
@@ -33,7 +33,7 @@ def test_encode_index_bounds():
 
 def test_codewords_distinct_small():
     cb = Codebook(n=64, w=6, ell=3)
-    words = cb.encode_block(np.arange(1, 65))
+    words = [cb.encode_index(i) for i in range(1, 65)]
     assert len({tuple(row) for row in words}) == 64
 
 
@@ -41,7 +41,7 @@ def test_mds_distance_exhaustive_tiny():
     # every pair of distinct codewords differs in >= w - m + 1 coordinates
     cb = Codebook(n=49, w=7, ell=3)
     assert cb.m == 2
-    words = cb.encode_block(np.arange(1, 50))
+    words = np.array([cb.encode_index(i) for i in range(1, 50)])
     for a in range(49):
         diffs = np.count_nonzero(words != words[a], axis=1)
         diffs[a] = cb.w
@@ -95,7 +95,7 @@ def test_received_word_validation():
     with pytest.raises(InvalidInput):
         cb.decode_erasures(bad)
     with pytest.raises(InvalidInput):
-        ReceivedWord(np.zeros((2, 5), dtype=np.int64))
+        cb.decode_erasures(np.zeros((2, 5), dtype=np.int64))
 
 
 def test_erasure_patterns_exhaustive_small():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bitmix.bundle import DesignBundle, _sha256, load_design, save_design
 from bitmix.errors import (
     ConstructionFailed,
     CorruptDesignFile,
@@ -19,15 +20,10 @@ from bitmix.masking import (
     MaskingString,
     build_lcs,
     build_smallk_set,
-    check_lcs_conditions,
     check_lcs_conditions_all,
     collisions,
     construct_candidate,
-    extend_lcs,
-    load_masking_set,
-    masking_set_from_payload,
     pairwise_collisions,
-    save_masking_set,
     verify_promising,
 )
 from bitmix.params import REGIME_SMALLK, SchemeParams, derive_params
@@ -179,10 +175,11 @@ def test_verify_passes_on_exact_set():
 def test_verify_stats_shapes():
     mset = _equal_collision_set()
     report = verify_promising(mset)
-    assert report.stats.means.shape == (3,)
-    assert np.allclose(report.stats.means, 10.0)
-    assert np.allclose(report.stats.max_devs, 0.0)
-    assert np.allclose(report.stats.sq_dev_sums, 0.0)
+    stats = report.stats
+    assert stats.n_others == 2
+    assert stats.sums.tolist() == [20, 20, 20]  # mean 10 = sums / n_others
+    assert stats.max_dev_num.tolist() == [0, 0, 0]
+    assert stats.sq_dev_num == [0, 0, 0]
 
 
 def test_verify_fails_on_duplicate():
@@ -234,38 +231,13 @@ def test_build_lcs_degenerate_succeeds():
     assert mset.status == STATUS_PROMISING
 
 
-# --- extension ------------------------------------------------------------
-
-def test_extend_scales_collisions():
-    p = derive_params(2**16, 5)
-    base = construct_candidate(p, seed=8)
-    ext = extend_lcs(base, 3)
-    assert ext.params.w == 3 * p.w
-    assert ext.params.t1 == 3 * p.t1
-    assert ext.offsets.shape == (p.s_size, 3 * p.w)
-    base_mat = pairwise_collisions(base.offsets)
-    ext_mat = pairwise_collisions(ext.offsets)
-    assert np.array_equal(ext_mat, 3 * base_mat)
-
-
-def test_extend_identity():
-    p = derive_params(2**16, 5)
-    base = construct_candidate(p, seed=8)
-    same = extend_lcs(base, 1)
-    assert same.params == base.params
-    assert np.array_equal(same.offsets, base.offsets)
-
-
-def test_extend_validates_factor():
-    base = construct_candidate(derive_params(2**16, 5), seed=8)
-    with pytest.raises(InvalidInput):
-        extend_lcs(base, 0)
-    with pytest.raises(InvalidInput):
-        extend_lcs(base, 2.0)
-
-
 def test_extended_exact_set_still_passes():
-    ext = extend_lcs(_equal_collision_set(), 4)
+    # each string concatenated with itself 4 times: every collision count,
+    # and so every certificate statistic, scales with w and stays on target
+    base = _equal_collision_set()
+    p = _params(n=16, k=1, w=4 * base.params.w, ell=8, s_size=3)
+    ext = MaskingSet(np.tile(base.offsets, (1, 4)), p, seed=0, status=STATUS_UNVERIFIED)
+    assert np.array_equal(pairwise_collisions(ext.offsets), 4 * pairwise_collisions(base.offsets))
     assert verify_promising(ext).passed
 
 
@@ -312,36 +284,62 @@ def _micro_set(extra=False):
 
 def test_conditions_boundary_pass():
     mset = _micro_set()
-    got = check_lcs_conditions(mset, [0, 1], i=0)
-    assert got == {"cond1": True, "cond2": True}
     both = check_lcs_conditions_all(mset, [0, 1])
     assert both == {"cond1": True, "cond2_all": True}
 
 
 def test_conditions_duplicate_breaks_cond2():
     mset = _micro_set()
-    got = check_lcs_conditions(mset, [0, 0], i=0)
-    assert got["cond2"] is False
     assert check_lcs_conditions_all(mset, [0, 0])["cond2_all"] is False
 
 
 def test_conditions_outside_collider_breaks_cond1():
     mset = _micro_set(extra=True)
-    got = check_lcs_conditions(mset, [0, 1], i=0)
+    got = check_lcs_conditions_all(mset, [0, 1])
     assert got["cond1"] is False
     # the chosen strings themselves are still fine with each other
-    assert got["cond2"] is True
+    assert got["cond2_all"] is True
 
 
 def test_conditions_empty_and_errors():
     mset = _micro_set()
     assert check_lcs_conditions_all(mset, []) == {"cond1": True, "cond2_all": True}
     with pytest.raises(IndexOutOfRange):
-        check_lcs_conditions(mset, [0, 1], i=2)
+        check_lcs_conditions_all(mset, [0, 7])
     with pytest.raises(IndexOutOfRange):
-        check_lcs_conditions(mset, [0, 7], i=0)
+        check_lcs_conditions_all(mset, [-1, 0])
     with pytest.raises(InvalidInput):
-        check_lcs_conditions(mset, [[0], [1]], i=0)
+        check_lcs_conditions_all(mset, [[0], [1]])
+
+
+def _conditions_by_scalar_collisions(mset, chosen):
+    # the definition, one string pair at a time
+    w = mset.params.w
+    strings = [mset.string(i) for i in range(len(mset))]
+    total = [sum(collisions(strings[s], strings[c]) for c in chosen) for s in range(len(mset))]
+    cond1 = all(2 * total[s] <= w for s in range(len(mset)) if s not in chosen)
+    cond2 = all(
+        2 * sum(collisions(strings[c], strings[d]) for j, d in enumerate(chosen) if j != i) <= w
+        for i, c in enumerate(chosen)
+    )
+    return {"cond1": cond1, "cond2_all": cond2}
+
+
+@pytest.mark.parametrize("alphabet,w,s_size", [(2, 4, 6), (3, 6, 9), (4, 8, 12)])
+def test_conditions_match_scalar_collisions(alphabet, w, s_size):
+    # offsets drawn from a few values per segment, so that totals land on
+    # either side of w/2; multisets draw with replacement, so repeats occur
+    p = _params(n=16, k=1, w=w, ell=4, s_size=s_size)
+    rng = np.random.default_rng(alphabet)
+    seen = set()
+    for trial in range(150):
+        offsets = rng.integers(0, alphabet, size=(s_size, w))
+        mset = MaskingSet(offsets, p, seed=0, status=STATUS_UNVERIFIED)
+        chosen = rng.integers(0, s_size, size=int(rng.integers(1, 5))).tolist()
+        got = check_lcs_conditions_all(mset, chosen)
+        assert got == _conditions_by_scalar_collisions(mset, chosen), (trial, chosen)
+        seen.add((got["cond1"], got["cond2_all"]))
+    assert len(seen) >= 3
 
 
 def test_conditions_hold_for_distinct_draws():
@@ -359,14 +357,18 @@ def test_conditions_hold_for_distinct_draws():
     assert ok / draws >= 1 - p.delta
 
 
-# --- persistence ------------------------------------------------------------
+# --- persistence (the design bundle is the only file format) ----------------
+
+def _save_set(mset, path):
+    save_design(DesignBundle(mset, assignment_seed=0), path)
+
 
 def test_save_load_round_trip(tmp_path):
     p = derive_params(2**16, 2, regime=REGIME_SMALLK)
     mset = build_smallk_set(p, seed=1)
-    path = tmp_path / "set.json"
-    save_masking_set(mset, path)
-    back = load_masking_set(path)
+    path = tmp_path / "design.json"
+    _save_set(mset, path)
+    back = load_design(path).masking
     assert np.array_equal(back.offsets, mset.offsets)
     assert back.params == mset.params
     assert back.seed == mset.seed
@@ -376,34 +378,38 @@ def test_save_load_round_trip(tmp_path):
 def test_load_detects_tamper(tmp_path):
     p = derive_params(2**16, 2, regime=REGIME_SMALLK)
     mset = build_smallk_set(p, seed=1)
-    path = tmp_path / "set.json"
-    save_masking_set(mset, path)
+    path = tmp_path / "design.json"
+    _save_set(mset, path)
     payload = json.loads(path.read_text())
-    payload["status"] = "promising"  # forge a stronger status
+    payload["masking"]["status"] = "promising"  # forge a stronger status
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptDesignFile, match="hash"):
-        load_masking_set(path)
+        load_design(path)
 
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all")
     with pytest.raises(CorruptDesignFile):
-        load_masking_set(path)
+        load_design(path)
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(CorruptDesignFile):
-        load_masking_set(path)
+        load_design(path)
 
 
-def test_payload_version_check():
+def test_payload_version_check(tmp_path):
+    # a nested masking payload of another version is refused even when the
+    # file's hash matches its content
     p = derive_params(2**16, 2, regime=REGIME_SMALLK)
-    mset = build_smallk_set(p, seed=1)
-    from bitmix.masking import _canonical_payload
-
-    payload = _canonical_payload(mset)
-    payload["version"] = 99
+    path = tmp_path / "design.json"
+    _save_set(build_smallk_set(p, seed=1), path)
+    payload = json.loads(path.read_text())
+    del payload["sha256"]
+    payload["masking"]["version"] = 99
+    payload["sha256"] = _sha256(payload)
+    path.write_text(json.dumps(payload))
     with pytest.raises(CorruptDesignFile, match="version"):
-        masking_set_from_payload(payload, require_hash=False)
+        load_design(path)
 
 
 def test_wide_segment_round_trip(tmp_path):
@@ -418,8 +424,8 @@ def test_wide_segment_round_trip(tmp_path):
     offsets = rng.integers(0, p.segment_len, size=(2, 16))
     mset = MaskingSet(offsets.astype(np.int64), p, seed=0, status=STATUS_UNVERIFIED)
     path = tmp_path / "wide.json"
-    save_masking_set(mset, path)
+    _save_set(mset, path)
     payload = json.loads(path.read_text())
-    assert payload["offsets_dtype"] == "<u4"
-    back = load_masking_set(path)
+    assert payload["masking"]["offsets_dtype"] == "<u4"
+    back = load_design(path).masking
     assert np.array_equal(back.offsets, offsets)

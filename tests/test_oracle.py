@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -160,6 +161,28 @@ def test_bundle_load_rejects_wrong_format(tmp_path):
     path.write_text("{truncated")
     with pytest.raises(CorruptDesignFile):
         load_design(path)
+
+
+@pytest.mark.parametrize(
+    "kwargs,sha256",
+    [
+        (dict(n=2**12, k=4, seed=3, verify=False),
+         "8d84a2bf3e391e212c27eec5c3d0a4d1feab808bad3fdc88ae139020c21ddd4e"),
+        (dict(n=2**16, k=5, xi=0.05, seed=2, verify=False),
+         "cca11e20470535ed6b08a1d8b262b97a1dee773a1a60a3a9b200bb18f2e26cac"),
+        (dict(n=2**16, k=2, regime=REGIME_SMALLK, seed=1),
+         "4f9262067516eae27920b5fe0cf140220589990cf897beb52199b3dd022b6a16"),
+    ],
+    ids=["general", "general-noisy", "smallk"],
+)
+def test_design_file_bytes_are_stable(tmp_path, kwargs, sha256):
+    # the hashes pin the file format: a design saved by an earlier release
+    # has these exact bytes, so it still loads
+    bundle = build_design(**kwargs)
+    path = tmp_path / "design.json"
+    save_design(bundle, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    assert load_design(path).params == bundle.params
 
 
 def test_build_design_verified_smallk():

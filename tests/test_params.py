@@ -10,7 +10,6 @@ from bitmix.params import (
     REGIME_SMALLK,
     SchemeParams,
     derive_params,
-    params_with_weight,
     total_test_bound,
 )
 
@@ -145,15 +144,6 @@ def test_params_validation_catches_inconsistency():
     obj["t2"] += 1
     with pytest.raises(InvalidInput):
         SchemeParams.from_json(obj)
-
-
-def test_params_with_weight():
-    p = derive_params(2**16, 5)
-    q = params_with_weight(p, 3 * p.w)
-    assert q.w == 3 * p.w
-    assert q.t1 == 3 * p.t1
-    assert q.t2 == q.ell * q.t1
-    assert 2**q.ell >= q.w + 1
 
 
 def test_bound_ratios():

@@ -215,6 +215,25 @@ def test_decode_empty():
     assert result.string_list.size == 0
 
 
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda y1, y2: (Batch1Outcome(np.concatenate([y1.bits, [0, 0, 0]])), y2),
+        lambda y1, y2: (Batch1Outcome(2 * y1.bits), y2),
+        lambda y1, y2: (y1, Batch2Outcome(y2.symbols, y2.ell + 1)),
+        lambda y1, y2: (Batch1Outcome(y1.bits[:-5]), y2),
+        lambda y1, y2: (y1, Batch2Outcome(y2.symbols[:-5], y2.ell)),
+        lambda y1, y2: (y1, Batch2Outcome(y2.symbols + (1 << y2.ell), y2.ell)),
+    ],
+    ids=["y1-long", "y1-nonbinary", "y2-ell", "y1-short", "y2-short", "y2-symbol-range"],
+)
+def test_decode_rejects_outcomes_that_do_not_fit_the_design(malform):
+    p, mset, cb, asg = _design(2**12, 4)
+    y1, y2 = simulate_outcomes([3, 100, 2000], asg, mset, cb)
+    with pytest.raises(InvalidInput):
+        decode(*malform(y1, y2), mset, cb)
+
+
 def test_noisy_string_identification_rate():
     # forward noise at xi = 0.1 with widened segments (c1 = 8): the
     # defective's string clears the score threshold in >= 99% of draws
