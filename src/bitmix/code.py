@@ -1,20 +1,36 @@
-"""Index <-> codeword mapping with erasure and errors-and-erasures decoding.
+"""Index <-> codeword mapping, and one batched decoder for received words.
 
 The codebook is an evaluation-style MDS code over GF(2^ell): item index i in
 [1, n] maps to the base-q digits of i-1 (little-endian, m digits), read as a
 polynomial of degree < m and evaluated at the points 0..w-1.  Minimum distance
 is w - m + 1, so any f <= w - m erasures are correctable, and any (e, f) with
-2e + f <= w - m is correctable by the errors-and-erasures decoder.
+2e + f <= w - m is correctable with errors.
 
-Decoding never trusts its own interpolation: the decoded message is re-encoded
-and checked against every non-erased symbol, and a decoded index outside
-[1, n] is rejected, so upstream corruption surfaces as an explicit error
-(InconsistentWord / DecodingFailure) rather than a silently wrong item.
+`Codebook.decode_words` decodes a whole (L, w) matrix of received words in
+one pass of array operations.  Noisy words take every step below; noiseless
+words skip straight to step 4, with their erasures as the only errata:
+  1. syndromes of every row, as one GF matrix product with the parity checks;
+  2. Berlekamp-Massey with erasures (Berlekamp 1968; Massey 1969), batched
+     over the rows: each row starts from its erasure locator at its own step
+     f, its erasure count;
+  3. a Chien search over the w points finds the roots of each row's errata
+     locator, and the errors found join the erasures;
+  4. one batched m x m Vandermonde solve on the first m surviving positions.
+Point 0 is no locator root, so steps 1-3 work on the translated points
+b_j = j ^ w, all nonzero because w < q.  Translation maps the code onto
+itself, and step 4 solves on the original points.
+
+Decoding never trusts its own algebra: every message is re-encoded and
+checked against every non-erased symbol (exact agreement when noiseless,
+2e + f <= w - m when noisy), and a decoded index outside [1, n] is rejected,
+so upstream corruption surfaces as an explicit error (InconsistentWord /
+DecodingFailure) rather than a silently wrong item.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +46,10 @@ from .gf import GF2m, get_field
 ERASURE = -1
 
 
-def _as_symbols(rw, w: int, q: int) -> np.ndarray:
-    symbols = np.asarray(rw, dtype=np.int64)
-    if symbols.shape != (w,):
-        raise InvalidInput(f"received word must have length {w}, got {symbols.shape}")
+def _as_words(words, w: int, q: int) -> np.ndarray:
+    symbols = np.asarray(words, dtype=np.int64)
+    if symbols.ndim != 2 or symbols.shape[1] != w:
+        raise InvalidInput(f"received words must have length {w}, got shape {symbols.shape}")
     if symbols.min(initial=0) < ERASURE or symbols.max(initial=0) >= q:
         raise InvalidInput("symbol values must lie in [0, q) or be ERASURE")
     return symbols
@@ -66,83 +82,154 @@ class Codebook:
             v //= self.q
         return out
 
-    def _index_of(self, msg: np.ndarray) -> int:
-        v = 0
-        for d in range(self.m - 1, -1, -1):
-            v = v * self.q + int(msg[d])
-        return v + 1
-
     def encode_index(self, i: int) -> np.ndarray:
         """Codeword of item i (1-based), as w symbols in [0, q)."""
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"item index {i} outside [1, {self.n}]")
-        return self._eval(self._digits(i))
+        return self.field.matmul(self._digits(i)[None], self._vand.T)[0]
 
-    def _eval(self, msg: np.ndarray) -> np.ndarray:
-        cw = np.zeros(self.w, dtype=np.int64)
-        for d in range(self.m):
-            if msg[d]:
-                cw ^= self.field.mul(self._vand[:, d], msg[d])
-        return cw
+    @cached_property
+    def _locator_tables(self):
+        """(checks, powers) on the translated points b_j = j ^ w.
+
+        checks[i, j] = v_j b_j^i for i < w - m, with v_j = 1 / prod_{l != j}
+        (b_j - b_l), is a parity-check matrix of the code; powers[k, j] =
+        b_j^-k for k <= w - m evaluates a locator at every b_j^-1.  Built on
+        the first noisy decode, so noiseless use never pays for them.
+        """
+        field, radius = self.field, self.w - self.m
+        translated = self.points ^ self.w
+        diffs = self.points[:, None] ^ self.points  # b_j - b_l = j - l
+        np.fill_diagonal(diffs, 1)
+        weights = field.inv(field.prod(diffs, axis=1))
+        checks = field.mul(field.vandermonde(translated, radius).T, weights)
+        powers = field.vandermonde(field.inv(translated), radius + 1).T
+        return checks, powers
+
+    def decode_words(self, words, noisy: bool):
+        """Decode every row of an (L, w) matrix of received words at once.
+
+        Returns (items, errors), two lists of length L.  Row r decoded to
+        item items[r] when errors[r] is None; otherwise items[r] is None and
+        errors[r] is the exception that explains the failure:
+          - noiseless: TooManyErasures when more than w - m symbols are
+            erased, InconsistentWord when the surviving symbols match no
+            codeword of an index in [1, n];
+          - noisy: DecodingFailure when no codeword of an index in [1, n]
+            lies within 2e + f <= w - m of the word (e errors, f erasures).
+        Raises InvalidInput unless `words` is an (L, w) matrix of symbols in
+        [0, q) or ERASURE.
+        """
+        words = _as_words(words, self.w, self.q)
+        radius = self.w - self.m
+        erased = words == ERASURE
+        n_erased = erased.sum(axis=1)
+        items: list = [None] * len(words)
+        errors: list = [None] * len(words)
+        for row in np.nonzero(n_erased > radius)[0]:
+            errors[row] = (
+                DecodingFailure("too few surviving symbols to identify any codeword")
+                if noisy else
+                TooManyErasures(f"{n_erased[row]} erasures exceed capability {radius}")
+            )
+        rows = np.nonzero(n_erased <= radius)[0]
+        if rows.size == 0:
+            return items, errors
+
+        received, erased, n_erased = words[rows], erased[rows], n_erased[rows]
+        received[erased] = 0  # every entry a field element; erased ones are never checked
+        errata = erased | self._locate_errors(received, erased, n_erased) if noisy else erased
+        # The first m positions outside the errata.  A word beyond the radius
+        # may have fewer, so the solve reads errata too; the re-encode check
+        # below judges that message like any other.
+        keep = np.argsort(errata, axis=1, kind="stable")[:, : self.m]
+        msg = self.field.solve(self._vand[keep], np.take_along_axis(received, keep, axis=1))
+        wrong = np.count_nonzero(
+            (self.field.matmul(msg, self._vand.T) != received) & ~erased, axis=1
+        )
+        ok = 2 * wrong + n_erased <= radius if noisy else wrong == 0
+        index = np.dot(msg.astype(object), [self.q**d for d in range(self.m)]) + 1
+        failure = DecodingFailure if noisy else InconsistentWord
+        for row, good, idx in zip(rows, ok, index):
+            if not good:
+                errors[row] = failure(
+                    f"no codeword within 2e+f <= {radius} of the word" if noisy
+                    else "surviving symbols match no codeword"
+                )
+            elif idx > self.n:
+                errors[row] = failure(f"decoded index {idx} exceeds n={self.n}")
+            else:
+                items[row] = idx
+        return items, errors
+
+    def _locate_errors(self, received, erased, n_erased) -> np.ndarray:
+        """Roots of each row's errata locator, as an (L, w) mask (steps 1-3)."""
+        field, radius = self.field, self.w - self.m
+        checks, powers = self._locator_tables
+        translated = self.points ^ self.w
+        # Locators have degree <= w - m; B(x) gets one more column to shift into.
+        width = radius + 2
+        # Erasure locators prod_{j erased} (1 + b_j x), one factor per pass.
+        locator = np.zeros((len(received), width), dtype=np.int64)
+        locator[:, 0] = 1
+        erased_first = np.argsort(~erased, axis=1, kind="stable")
+        for t in range(int(n_erased.max())):
+            root = np.where(t < n_erased, translated[erased_first[:, t]], 0)
+            locator[:, 1 : t + 2] ^= field.mul(locator[:, : t + 1], root[:, None])
+        # Syndromes S_i sit at column radius + 1 + i, after radius + 1 zeros,
+        # so S_{n-j} for j > n reads 0.
+        syndromes = np.zeros((len(received), 2 * radius + 1), dtype=np.int64)
+        syndromes[:, radius + 1 :] = field.matmul(received, checks.T)
+        # Berlekamp-Massey from each row's erasure locator, at steps n >= f:
+        # `length` is the row's linear complexity, `shifted` is x^s B(x), B
+        # the last locator before a length change over its discrepancy.  A
+        # row whose start step is still ahead keeps B = its erasure locator.
+        length = n_erased.copy()
+        shifted = locator.copy()
+        span = int(length.max()) + 1  # locators have degree <= length
+        last_start = int(n_erased.max())
+        for n in range(int(n_erased.min()), radius):
+            window = syndromes[:, radius + 2 + n - span : radius + 2 + n][:, ::-1]
+            delta = np.bitwise_xor.reduce(field.mul(locator[:, :span], window), axis=1)
+            shifted[:, 1:] = shifted[:, :-1]
+            shifted[:, 0] = 0
+            if n < last_start:
+                idle = n_erased > n
+                delta[idle] = 0
+                shifted[idle] = locator[idle]
+            grow = (delta != 0) & (2 * length <= n + n_erased)
+            previous = locator[grow, :span]
+            length[grow] = n + 1 + n_erased[grow] - length[grow]
+            new_span = int(length.max()) + 1
+            locator[:, :new_span] ^= field.mul(shifted[:, :new_span], delta[:, None])
+            shifted[grow] = 0
+            shifted[grow, :span] = field.div(previous, delta[grow, None])
+            span = new_span
+        return field.matmul(locator[:, :span], powers[:span]) == 0
 
     def decode_erasures(self, rw) -> int:
         """Recover the item index from a word with erasures but no errors.
 
-        Raises TooManyErasures when more than w - m symbols are erased and
-        InconsistentWord when the surviving symbols match no codeword of an
-        index in [1, n].
+        A one-row `decode_words(..., noisy=False)`.  Raises TooManyErasures
+        when more than w - m symbols are erased and InconsistentWord when the
+        surviving symbols match no codeword of an index in [1, n].
         """
-        symbols = _as_symbols(rw, self.w, self.q)
-        clean = np.nonzero(symbols != ERASURE)[0]
-        f = self.w - clean.size
-        if f > self.w - self.m:
-            raise TooManyErasures(f"{f} erasures exceed capability {self.w - self.m}")
-        sub = clean[: self.m]
-        msg = self.field.solve(self._vand[sub], symbols[sub])
-        if np.any(self._eval(msg)[clean] != symbols[clean]):
-            raise InconsistentWord("surviving symbols match no codeword")
-        idx = self._index_of(msg)
-        if idx > self.n:
-            raise InconsistentWord(f"decoded index {idx} exceeds n={self.n}")
-        return idx
+        return self._decode_one(rw, noisy=False)
 
     def decode_errors_and_erasures(self, rw) -> int:
         """Recover the item index from a word with f erasures and e errors.
 
-        Succeeds whenever 2e + f <= w - m (bounded-distance decoding); raises
-        DecodingFailure when no codeword lies within that radius.  The decode
-        is algebraic (extended-Euclid on the erasure-punctured word), followed
-        by an explicit radius check against the re-encoded candidate.
+        A one-row `decode_words(..., noisy=True)`.  Succeeds whenever
+        2e + f <= w - m (bounded-distance decoding); raises DecodingFailure
+        when no codeword of an index in [1, n] lies within that radius.
         """
-        symbols = _as_symbols(rw, self.w, self.q)
-        clean = np.nonzero(symbols != ERASURE)[0]
-        n_clean = clean.size
-        if n_clean < self.m:
-            raise DecodingFailure("too few surviving symbols to identify any codeword")
-        xs = self.points[clean]
-        ys = symbols[clean]
+        return self._decode_one(rw, noisy=True)
 
-        g1 = _interpolate(self.field, xs, ys)
-        if _deg(g1) < self.m:
-            msg_poly = g1
-        else:
-            g0 = _roots_poly(self.field, xs)
-            msg_poly = _gao_reduce(self.field, g0, g1, n_clean, self.m)
-            if msg_poly is None:
-                raise DecodingFailure("no codeword within the errors-and-erasures radius")
-
-        msg = np.zeros(self.m, dtype=np.int64)
-        msg[: len(msg_poly)] = msg_poly
-        e = int(np.count_nonzero(self._eval(msg)[clean] != ys))
-        f = self.w - n_clean
-        if 2 * e + f > self.w - self.m:
-            raise DecodingFailure(
-                f"nearest candidate needs 2e+f = {2 * e + f} > radius {self.w - self.m}"
-            )
-        idx = self._index_of(msg)
-        if idx > self.n:
-            raise DecodingFailure(f"decoded index {idx} exceeds n={self.n}")
-        return idx
+    def _decode_one(self, rw, noisy: bool) -> int:
+        items, errors = self.decode_words(np.asarray(rw, dtype=np.int64)[None], noisy)
+        if errors[0] is not None:
+            raise errors[0]
+        return items[0]
 
 
 def symbol_pack(symbols, ell: int) -> np.ndarray:
@@ -165,104 +252,3 @@ def symbol_unpack(bits, ell: int) -> np.ndarray:
         raise InvalidInput(f"bit count {bits.size} is not a multiple of ell={ell}")
     groups = bits.reshape(-1, ell)
     return groups @ (1 << np.arange(ell, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Polynomial helpers (coefficient arrays, lowest power first).
-
-
-def _trim(p: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(p)[0]
-    return p[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=np.int64)
-
-
-def _deg(p: np.ndarray) -> int:
-    nz = np.nonzero(p)[0]
-    return int(nz[-1]) if nz.size else -1
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] ^= b
-    return _trim(out)
-
-
-def _poly_mul(field: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _deg(a) < 0 or _deg(b) < 0:
-        return np.zeros(1, dtype=np.int64)
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for i, coeff in enumerate(a):
-        if coeff:
-            out[i : i + len(b)] ^= field.mul(b, int(coeff))
-    return _trim(out)
-
-
-def _poly_divmod(field: GF2m, a: np.ndarray, b: np.ndarray):
-    db = _deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = a.copy()
-    da = _deg(r)
-    if da < db:
-        return np.zeros(1, dtype=np.int64), _trim(r)
-    q = np.zeros(da - db + 1, dtype=np.int64)
-    lead_inv = field.inv(int(b[db]))
-    for i in range(da - db, -1, -1):
-        c = field.mul(int(r[i + db]), lead_inv)
-        if c:
-            q[i] = c
-            r[i : i + db + 1] ^= field.mul(b[: db + 1], c)
-    return q, _trim(r)
-
-
-def _roots_poly(field: GF2m, xs: np.ndarray) -> np.ndarray:
-    """prod over xs of (X - x)."""
-    g = np.ones(1, dtype=np.int64)
-    for x in xs:
-        nxt = np.zeros(len(g) + 1, dtype=np.int64)
-        nxt[1:] = g
-        nxt[:-1] ^= field.mul(g, int(x))
-        g = nxt
-    return g
-
-
-def _interpolate(field: GF2m, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Newton interpolation through distinct points (subtraction is XOR)."""
-    npts = len(xs)
-    dd = ys.astype(np.int64).copy()
-    coeffs = np.empty(npts, dtype=np.int64)
-    coeffs[0] = dd[0]
-    for j in range(1, npts):
-        dd[j:] = field.div(dd[j:] ^ dd[j - 1 : npts - 1], xs[j:] ^ xs[: npts - j])
-        coeffs[j] = dd[j]
-    poly = np.array([coeffs[npts - 1]], dtype=np.int64)
-    for j in range(npts - 2, -1, -1):
-        nxt = np.zeros(len(poly) + 1, dtype=np.int64)
-        nxt[1:] = poly
-        nxt[:-1] ^= field.mul(poly, int(xs[j]))
-        nxt[0] ^= coeffs[j]
-        poly = nxt
-    return _trim(poly)
-
-
-def _gao_reduce(field: GF2m, g0: np.ndarray, g1: np.ndarray, n_clean: int, m: int):
-    """Partial extended Euclid on (g0, g1); returns the message polynomial or
-    None when the quotient step fails (received word too corrupted)."""
-    stop = (n_clean + m) / 2.0
-    r0, r1 = g0, g1
-    v0 = np.zeros(1, dtype=np.int64)
-    v1 = np.ones(1, dtype=np.int64)
-    while _deg(r1) >= stop:
-        q, rem = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, rem
-        v0, v1 = v1, _poly_add(v0, _poly_mul(field, q, v1))
-    # r1 may legitimately be the zero polynomial (zero message with errors);
-    # only a vanishing multiplier is fatal.
-    if _deg(v1) < 0:
-        return None
-    f1, rem = _poly_divmod(field, r1, v1)
-    if _deg(rem) >= 0 or _deg(f1) >= m:
-        return None
-    return f1

@@ -4,6 +4,11 @@ Tables are built once per field from a primitive polynomial; construction
 asserts that x generates the full multiplicative group, so a non-primitive
 polynomial cannot slip through silently.  All operations accept scalars or
 numpy arrays and are pure.
+
+The log of 0 is a sentinel that lands every product with a zero factor in an
+all-zero tail of the antilog table, so a product of two elements is one
+gather, exp[log a + log b], with no zero masks.  The array kernels (matmul,
+batched solve) are built on that gather.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ PRIMITIVE_POLYS = {
 
 _FIELD_CACHE: dict[int, "GF2m"] = {}
 
+# Elements in one gathered block of `matmul`: the int64 log sums and the
+# uint16 products of a block take about 2.5 MB together.
+_BLOCK = 1 << 18
+
 
 class GF2m:
     """The field GF(2^ell), 2 <= ell <= 13."""
@@ -41,75 +50,99 @@ class GF2m:
         self.ell = ell
         self.q = 1 << ell
         poly = PRIMITIVE_POLYS[ell]
+        order = self.q - 1
 
-        exp = np.zeros(2 * (self.q - 1), dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
+        # exp[0, 2*order) holds the cycle twice, so log a + log b needs no mod;
+        # log[0] = 2*order sends every sum with a zero factor into the zero
+        # tail exp[2*order, 4*order].  uint16 holds every element (ell <= 13)
+        # and keeps the gathers of `matmul` small; results leave as int64.
+        exp = np.zeros(4 * order + 1, dtype=np.uint16)
+        log = np.empty(self.q, dtype=np.int64)
         x = 1
-        for i in range(self.q - 1):
+        for i in range(order):
             exp[i] = x
             log[x] = i
             x <<= 1
             if x & self.q:
                 x ^= poly
         assert x == 1, f"polynomial {poly:#x} is not primitive for ell={ell}"
-        exp[self.q - 1:] = exp[: self.q - 1]  # doubled to skip mod (q-1)
+        exp[order : 2 * order] = exp[:order]
+        log[0] = 2 * order
         self._exp = exp
         self._log = log
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self._exp[self._log[a] + self._log[b]]
-        zero = (a == 0) | (b == 0)
-        if zero.ndim == 0:
-            return 0 if zero else int(out)
-        return np.where(zero, 0, out)
+        out = self._exp[self._log[np.asarray(a, dtype=np.int64)]
+                        + self._log[np.asarray(b, dtype=np.int64)]]
+        return out.astype(np.int64) if out.ndim else int(out)
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of 0 in GF(2^ell)")
         out = self._exp[(self.q - 1) - self._log[a]]
-        return out if out.ndim else int(out)
+        return out.astype(np.int64) if out.ndim else int(out)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def prod(self, a, axis: int = -1) -> np.ndarray:
+        """Product of the elements of `a` along `axis`."""
+        a = np.asarray(a, dtype=np.int64)
+        out = self._exp[self._log[a].sum(axis=axis) % (self.q - 1)].astype(np.int64)
+        return np.where((a == 0).any(axis=axis), 0, out)
+
     def vandermonde(self, points: np.ndarray, ncols: int) -> np.ndarray:
         """Matrix V with V[i, j] = points[i]**j."""
         points = np.asarray(points, dtype=np.int64)
-        out = np.empty((points.size, ncols), dtype=np.int64)
-        col = np.ones(points.size, dtype=np.int64)
-        for j in range(ncols):
-            out[:, j] = col
-            col = self.mul(col, points)
+        powers = np.arange(ncols)
+        out = self._exp[self._log[points][:, None] * powers % (self.q - 1)].astype(np.int64)
+        return np.where((points[:, None] == 0) & (powers > 0), 0, out)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product (L, K) @ (K, N) over the field.
+
+        The (L, K, N) products are gathered a block of rows at a time, with
+        about _BLOCK elements per block (never less than one row), so memory
+        does not grow with L.
+        """
+        log_a = self._log[np.asarray(a, dtype=np.int64)]
+        log_b = self._log[np.asarray(b, dtype=np.int64)]
+        out = np.empty((log_a.shape[0], log_b.shape[1]), dtype=np.int64)
+        step = max(1, _BLOCK // max(1, log_b.size))
+        for lo in range(0, log_a.shape[0], step):
+            products = self._exp[log_a[lo : lo + step, :, None] + log_b]
+            out[lo : lo + step] = np.bitwise_xor.reduce(products, axis=1)
         return out
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve the square system A x = b by Gaussian elimination.
+        """Solve A x = b by Gaussian elimination, batched over leading axes.
 
-        Raises np.linalg.LinAlgError if A is singular (cannot happen for the
-        Vandermonde systems used by the decoder, but checked anyway).
+        `a` has shape (..., n, n) and `b` shape (..., n).  Raises
+        np.linalg.LinAlgError if any system is singular (cannot happen for
+        the Vandermonde systems used by the decoder, but checked anyway).
         """
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)
-        n = a.shape[0]
+        shape, n = b.shape, a.shape[-1]
+        a = a.reshape(-1, n, n)
+        b = b.reshape(-1, n)
+        rows = np.arange(a.shape[0])
         for col in range(n):
-            piv = col + int(np.argmax(a[col:, col] != 0))
-            if a[piv, col] == 0:
+            piv = col + np.argmax(a[:, col:, col] != 0, axis=1)
+            if np.any(a[rows, piv, col] == 0):
                 raise np.linalg.LinAlgError("singular system over GF(2^ell)")
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                b[[col, piv]] = b[[piv, col]]
-            pinv = self.inv(a[col, col])
-            a[col] = self.mul(a[col], pinv)
-            b[col] = self.mul(b[col], pinv)
-            rows = [r for r in range(n) if r != col and a[r, col] != 0]
-            for r in rows:
-                f = a[r, col]
-                a[r] ^= self.mul(a[col], f)
-                b[r] ^= self.mul(b[col], f)
-        return b
+            top_a, top_b = a[:, col].copy(), b[:, col].copy()
+            a[:, col], b[:, col] = a[rows, piv], b[rows, piv]
+            a[rows, piv], b[rows, piv] = top_a, top_b
+            pinv = self.inv(a[:, col, col])
+            a[:, col] = self.mul(a[:, col], pinv[:, None])
+            b[:, col] = self.mul(b[:, col], pinv)
+            factor = a[:, :, col].copy()
+            factor[:, col] = 0
+            a ^= self.mul(factor[:, :, None], a[:, None, col])
+            b ^= self.mul(factor, b[:, None, col])
+        return b.reshape(shape)
 
 
 def get_field(ell: int) -> GF2m:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +42,18 @@ TIMINGS_FORMAT = "bitmix-timings"
 FAILURE_CLASSES = ("duplicate-assignment", "string-miss", "string-extra", "code-failure")
 
 
+def _pinned_kprime(value) -> int:
+    """A pinned k' given as an integer or as its decimal string (CLI flag)."""
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidInput(f'kprime must be "uniform" or an integer, got {value!r}')
+
+
 @dataclass
 class CellSpec:
     n: int
@@ -53,7 +66,7 @@ class CellSpec:
         if self.regime not in REGIMES:
             raise InvalidInput(f"unknown regime {self.regime!r}")
         if self.kprime != "uniform":
-            self.kprime = int(self.kprime)
+            self.kprime = _pinned_kprime(self.kprime)
             if not 0 <= self.kprime <= self.k:
                 raise InvalidInput(f"pinned kprime must lie in [0, k], got {self.kprime}")
         # Fail fast on invalid cells, before any trials run.

@@ -43,6 +43,9 @@ STATUS_PROMISING = "promising"
 STATUS_SMALLK = "smallk_verified"
 _STATUSES = (STATUS_UNVERIFIED, STATUS_PROMISING, STATUS_SMALLK)
 
+# Segments read per pass of MaskingSet.reaching.
+_SCAN = 32
+
 
 @dataclass
 class MaskingString:
@@ -124,6 +127,29 @@ class MaskingSet:
     def scores(self, vec) -> np.ndarray:
         """(s_size,) s^T vec for every string s: vec summed over its positions."""
         return vec[self.flat_positions].sum(axis=1, dtype=np.int64)
+
+    def reaching(self, vec, threshold: int) -> np.ndarray:
+        """Indices (ascending) of the strings s with s^T vec >= threshold.
+
+        The same set as nonzero(scores(vec) >= threshold), but read segment
+        by segment: a string drops out once its unread positions can no
+        longer lift it to the threshold.  No string can drop out before
+        w - threshold / max(vec) segments are read, so the first pass reads
+        those and _SCAN more; later passes read _SCAN each.  A noiseless
+        outcome then costs about |S| * _SCAN reads, not |S| * w.
+        """
+        flat, w = self.flat_positions, self.params.w
+        cap = max(1, int(np.max(vec, initial=0)))
+        alive = np.arange(len(self))
+        score = np.zeros(len(self), dtype=np.int64)
+        lo, hi = 0, max(0, w - threshold // cap) + _SCAN
+        while lo < w:
+            hi = min(hi, w)
+            score += vec[flat[alive, lo:hi]].sum(axis=1, dtype=np.int64)
+            keep = score + cap * (w - hi) >= threshold
+            alive, score = alive[keep], score[keep]
+            lo, hi = hi, hi + _SCAN
+        return alive
 
 
 def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:

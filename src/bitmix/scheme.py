@@ -9,9 +9,11 @@ Decoding never touches the item->string assignment: batch 1 is scanned for
 strings whose 1-positions are sufficiently covered (threshold w when
 noiseless, ceil((2w/c1 + w)/2) under noise), and each surviving string reads
 its w symbols out of batch 2, erasing positions where another surviving
-string also has a 1, then hands the word to the erasure (or
-errors-and-erasures) decoder.  Work is O(|S| w) plus O(|L| w) decoding -
-independent of n throughout.
+string also has a 1.  The |L| words then go through one batched decode:
+erasures only when noiseless, errors and erasures under noise.  Work is at
+most O(|S| w) for batch 1, plus O(|L| w m) for noiseless decoding or
+O(|L| w^2) under noise (syndromes, Berlekamp-Massey, Chien search) - no term
+depends on n except through w and m.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import ERASURE, Codebook, symbol_pack, symbol_unpack
-from .errors import (
-    DecodingFailure,
-    InconsistentWord,
-    InvalidInput,
-    MalformedResultFile,
-    TooManyErasures,
-)
+from .errors import InvalidInput, MalformedResultFile
 from .masking import MaskingSet
 from .params import SchemeParams
 from .seeding import GOLDEN64, mix64, mix64_array
@@ -142,8 +138,8 @@ def simulate_outcomes(
 
 
 def identify_strings(y1: Batch1Outcome, mset: MaskingSet, threshold: int) -> np.ndarray:
-    """Indices (ascending) of strings with s^T y1 >= threshold, via O(w) gathers."""
-    return np.nonzero(mset.scores(y1.bits) >= threshold)[0]
+    """Indices (ascending) of strings with s^T y1 >= threshold, at most w gathers each."""
+    return mset.reaching(y1.bits, threshold)
 
 
 def identify_items(
@@ -153,34 +149,26 @@ def identify_items(
     codebook: Codebook,
     noisy: bool,
 ):
-    """Decode one item index per surviving string.
+    """Decode one item index per surviving string, all strings at once.
 
     For each string in the list, its w received symbols are read from y2 with
     positions shared with *another listed string* marked as erasures (per the
-    list's collision pattern, not the received values).  Strings whose word
+    list's collision pattern, not the received values).  The (L, w) matrix of
+    words goes through one `Codebook.decode_words` call.  Strings whose word
     fails to decode are dropped and tallied: (string index, reason) pairs.
     Returns (estimate set, failures).
     """
     string_list = np.asarray(string_list, dtype=np.int64)
-    estimate: set[int] = set()
-    failures: list[tuple[int, str]] = []
-    if string_list.size == 0:
-        return estimate, failures
-
     positions = mset.flat_positions[string_list]
     erased = mset.usage(string_list)[positions] > 1  # a string never repeats a position
-
-    for row in range(string_list.size):
-        word = np.where(erased[row], ERASURE, y2.symbols[positions[row]])
-        try:
-            if noisy:
-                item = codebook.decode_errors_and_erasures(word)
-            else:
-                item = codebook.decode_erasures(word)
-        except (TooManyErasures, InconsistentWord, DecodingFailure) as exc:
-            failures.append((int(string_list[row]), type(exc).__name__))
-            continue
-        estimate.add(item)
+    words = np.where(erased, ERASURE, y2.symbols[positions])
+    items, errors = codebook.decode_words(words, noisy)
+    estimate = {item for item in items if item is not None}
+    failures = [
+        (int(string), type(error).__name__)
+        for string, error in zip(string_list, errors)
+        if error is not None
+    ]
     return estimate, failures
 
 

@@ -89,6 +89,24 @@ def test_run_with_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_rejects_a_bad_kprime(tmp_path, capsys):
+    rc = main([
+        "run", "--n", "4096", "--k", "2", "--regime", "smallk", "--kprime", "foo",
+        "--trials", "1", "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    for bad in (2.7, None, True, "foo"):
+        cfg = {"cells": [{"n": 4096, "k": 2, "regime": "smallk", "kprime": bad}],
+               "trials": 1, "seed": 0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "kprime" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_run_missing_cell_args(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path / "r.json")])
     assert rc == 2

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from bitmix.errors import (
     InvalidInput,
     TooManyErasures,
 )
+from bitmix.gf import get_field
 
 
 def test_encode_shapes_and_range():
@@ -224,3 +226,122 @@ def test_eee_random_round_trip(i, seed):
     for pos in hit:
         word[pos] ^= int(rng.integers(1, 32))
     assert cb.decode_errors_and_erasures(word) == i
+
+
+def _reference_outcome(cb, codewords, word, noisy):
+    """Bounded-distance decode of one word by trying every one of the q^m
+    messages: the item, or the failure class the decoder must raise."""
+    radius = cb.w - cb.m
+    clean = word != ERASURE
+    f = cb.w - int(clean.sum())
+    if f > radius:
+        return DecodingFailure if noisy else TooManyErasures
+    wrong = np.count_nonzero((codewords != word) & clean, axis=1)
+    within = np.nonzero(2 * wrong + f <= radius if noisy else wrong == 0)[0]
+    if within.size == 0 or within[0] + 1 > cb.n:  # at most one lies within
+        return DecodingFailure if noisy else InconsistentWord
+    return int(within[0]) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _all_codewords(w, m, ell):
+    """Row v is the word of message digits base-q(v), by scalar Horner."""
+    field, q = get_field(ell), 1 << ell
+    out = np.zeros((q**m, w), dtype=np.int64)
+    for v, digits in enumerate(itertools.product(range(q), repeat=m)):
+        for x in range(w):
+            acc = 0
+            for d in digits:  # most significant digit first
+                acc = field.mul(acc, x) ^ d
+            out[v, x] = acc
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ell=st.sampled_from([3, 4]),
+    n=st.integers(min_value=1, max_value=256),
+    w=st.integers(min_value=2, max_value=15),
+    noisy=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_decode_words_matches_brute_force(ell, n, w, noisy, seed):
+    # every outcome of the batched decoder, item or failure class, equals a
+    # decoder that tries all q^m messages, on words near and far from the code
+    n = min(n, (1 << ell) ** 2)
+    w = min(w, (1 << ell) - 1)
+    cb = Codebook(n, w, ell)
+    codewords = _all_codewords(w, cb.m, ell)
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(6):
+        word = codewords[rng.integers(len(codewords))].copy()  # may lie beyond n
+        f = int(rng.integers(0, w + 1))
+        e = int(rng.integers(0, w - f + 1))
+        hit = rng.permutation(w)
+        word[hit[:f]] = ERASURE
+        word[hit[f : f + e]] ^= rng.integers(1, cb.q, size=e)
+        words.append(word)
+    items, errors = cb.decode_words(np.array(words), noisy)
+    for word, item, error in zip(words, items, errors):
+        want = _reference_outcome(cb, codewords, word, noisy)
+        if isinstance(want, int):
+            assert (item, error) == (want, None)
+        else:
+            assert item is None and type(error) is want
+
+
+def test_decode_words_rows_are_independent():
+    # a batch decodes each row as if it were alone, whatever the other rows'
+    # erasure counts and locator degrees are
+    cb = Codebook(n=3000, w=15, ell=4)
+    assert (cb.m, cb.w - cb.m) == (3, 12)
+    rng = np.random.default_rng(8)
+    base = cb.encode_index(2024)
+    rows = {
+        "clean": base.copy(),
+        "f=0, 6 errors": base.copy(),
+        "f=w-m": base.copy(),
+        "all erased": np.full(cb.w, ERASURE),
+        "error at 0": base.copy(),
+        "error at 0, 4 erasures": base.copy(),
+        "7 errors": base.copy(),
+        "index above n": Codebook(n=4096, w=15, ell=4).encode_index(4000),
+        "random": rng.integers(0, cb.q, size=cb.w),
+    }
+    rows["f=0, 6 errors"][[1, 4, 6, 9, 12, 14]] ^= 5
+    rows["f=w-m"][3:] = ERASURE
+    rows["error at 0"][0] ^= 1
+    rows["error at 0, 4 erasures"][0] ^= 9
+    rows["error at 0, 4 erasures"][[2, 5, 7, 11]] = ERASURE
+    rows["7 errors"][:7] ^= 3
+    words = np.array(list(rows.values()))
+    for noisy in (False, True):
+        items, errors = cb.decode_words(words, noisy)
+        outcomes = [item if error is None else type(error) for item, error in zip(items, errors)]
+        alone = []
+        for word in words:
+            (item,), (error,) = cb.decode_words(word[None], noisy)
+            alone.append(item if error is None else type(error))
+        assert outcomes == alone
+        back_items, back_errors = cb.decode_words(words[::-1], noisy)
+        assert back_items[::-1] == items
+        assert [type(e) for e in back_errors[::-1]] == [type(e) for e in errors]
+        got = dict(zip(rows, outcomes))
+        assert got["clean"] == got["f=w-m"] == 2024
+        assert got["all erased"] is (DecodingFailure if noisy else TooManyErasures)
+        if noisy:
+            assert got["f=0, 6 errors"] == got["error at 0"] == 2024
+            assert got["error at 0, 4 erasures"] == 2024
+            assert got["index above n"] is DecodingFailure
+        else:
+            assert got["f=0, 6 errors"] is got["error at 0"] is InconsistentWord
+            assert got["index above n"] is InconsistentWord
+
+
+def test_decode_words_validation():
+    cb = Codebook(n=100, w=10, ell=4)
+    for bad in (np.zeros(10), np.zeros((2, 9)), np.full((1, 10), 16), np.full((1, 10), -2)):
+        with pytest.raises(InvalidInput):
+            cb.decode_words(bad, noisy=True)
+    assert cb.decode_words(np.zeros((0, 10), dtype=np.int64), noisy=True) == ([], [])

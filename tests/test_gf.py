@@ -104,6 +104,48 @@ def test_solve_singular_raises():
         gf.solve(vand, np.array([1, 2]))
 
 
+def test_array_kernels_match_scalar_mul():
+    # matmul, prod, vandermonde and the batched solve against loops of
+    # scalar mul, with zeros in every operand
+    gf = GF2m(5)
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 32, size=(7, 6))
+    a[:, 0] = 0
+    b = rng.integers(0, 32, size=(6, 4))
+    b[2] = 0
+    want = np.zeros((7, 4), dtype=np.int64)
+    for i in range(7):
+        for j in range(4):
+            for t in range(6):
+                want[i, j] ^= gf.mul(int(a[i, t]), int(b[t, j]))
+    assert np.array_equal(gf.matmul(a, b), want)
+    assert gf.matmul(a[:, :0], b[:0]).tolist() == [[0] * 4] * 7
+
+    for row in a:
+        prod = 1
+        for x in row:
+            prod = gf.mul(prod, int(x))
+        assert gf.prod(row) == prod
+    assert np.array_equal(gf.prod(a[:, 1:], axis=1),
+                          [gf.prod(row) for row in a[:, 1:]])
+
+    points = np.array([0, 1, 2, 9, 31])
+    vand = gf.vandermonde(points, 4)
+    for i, x in enumerate(points):
+        power = 1
+        for j in range(4):
+            assert vand[i, j] == power
+            power = gf.mul(power, int(x))
+
+    systems = np.stack([gf.vandermonde(rng.choice(32, size=3, replace=False), 3)
+                        for _ in range(5)])
+    systems[0] = gf.vandermonde(np.array([0, 3, 5]), 3)[:, [1, 2, 0]]  # pivot 0 at (0, 0)
+    coeffs = rng.integers(0, 32, size=(5, 3))
+    rhs = np.stack([gf.matmul(s, c[:, None])[:, 0] for s, c in zip(systems, coeffs)])
+    assert np.array_equal(gf.solve(systems, rhs), coeffs)
+    assert np.array_equal(gf.solve(systems[1], rhs[1]), coeffs[1])
+
+
 def test_get_field_cache():
     assert get_field(9) is get_field(9)
 

@@ -38,6 +38,10 @@ def test_cellspec_validation():
         CellSpec(n=2**12, k=1)  # general regime needs k >= 2
     spec = CellSpec(n=2**12, k=2, regime=REGIME_SMALLK, kprime="2")
     assert spec.kprime == 2
+    assert CellSpec(n=2**12, k=2, regime=REGIME_SMALLK, kprime=np.int64(1)).kprime == 1
+    for bad in ("foo", "2.0", None, 2.7, 2.0, True, [1]):
+        with pytest.raises(InvalidInput, match="kprime"):
+            CellSpec(n=2**12, k=2, regime=REGIME_SMALLK, kprime=bad)
 
 
 def test_cellspec_json_round_trip():

@@ -149,6 +149,20 @@ def test_identify_strings_threshold_monotone():
     assert set(identify_strings(y1, mset, 0).tolist()) == set(range(p.s_size))
 
 
+def test_identify_strings_matches_full_scores():
+    # the early-exit scan lists exactly the strings whose full score reaches
+    # the threshold, for sparse and dense vectors and counts above 1
+    p, mset, cb, asg = _design(2**16, 5)
+    rng = np.random.default_rng(4)
+    for density in (0.05, 0.3, 0.9):
+        for top in (1, 3):
+            vec = (rng.random(p.t1) < density) * rng.integers(1, top + 1, size=p.t1)
+            scores = mset.scores(vec)
+            for thr in (-1, 0, 1, 40, p.w // 2, p.w - 1, p.w, p.w + 1, 2 * p.w):
+                want = np.nonzero(scores >= thr)[0]
+                assert np.array_equal(mset.reaching(vec, thr), want)
+
+
 def test_identify_items_erases_shared_positions():
     # positions used by more than one listed string must be treated as
     # erasures even when the stored values happen to look clean
@@ -205,6 +219,52 @@ def test_decode_end_to_end_noiseless():
         assert result.estimate == set(int(v) for v in defectives)
         assert result.batch1_seconds >= 0 and result.batch2_seconds >= 0
         assert result.total_seconds >= result.batch1_seconds
+
+
+# Decode results of fixed instances, recorded from the Gao-style decoder that
+# the batched decoder replaced: (xi, defectives or their rng seed, threshold
+# or None for the default, estimate, string list, failures).
+PINNED_DECODES = [
+    (0.0, 0, None, [4420, 5044, 8374, 10435, 13934], [35, 39, 57, 64, 69], []),
+    (0.0, [1010, 1012, 4000, 9000], None, [4000, 9000], [16, 49, 64],
+     [(64, 'InconsistentWord')]),
+    (0.0, [1010, 1012, 4000, 9000], 30, [1, 4000, 9000],
+     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 21, 22, 23,
+      24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 42, 43, 44,
+      45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64,
+      65, 66, 67, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80],
+     [(28, 'TooManyErasures'), (48, 'TooManyErasures'), (64, 'InconsistentWord'),
+      (67, 'TooManyErasures')]),
+    (0.0, 3, 0, [1, 1404, 2940, 3880, 13293],
+     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+      23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42,
+      43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62,
+      63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80],
+     [(9, 'TooManyErasures'), (28, 'TooManyErasures'), (42, 'TooManyErasures'),
+      (48, 'TooManyErasures'), (49, 'TooManyErasures'), (67, 'TooManyErasures')]),
+    (0.05, 4, None, [8378, 11900, 14440, 15409, 15449], [13, 14, 45, 51, 59], []),
+    (0.07, 5, None, [372, 10988, 13187], [0, 7, 12, 69, 72],
+     [(7, 'DecodingFailure'), (12, 'DecodingFailure')]),
+    (0.08, 6, None, [7290], [1, 11, 41, 49, 73],
+     [(1, 'DecodingFailure'), (41, 'DecodingFailure'), (49, 'DecodingFailure'),
+      (73, 'DecodingFailure')]),
+    (0.05, 7, 100, [9475, 10240, 11209, 14700, 15478], [6, 27, 44, 59, 72], []),
+]
+
+
+@pytest.mark.parametrize("xi, chosen, threshold, estimate, strings, failures", PINNED_DECODES)
+def test_decode_results_are_pinned(xi, chosen, threshold, estimate, strings, failures):
+    p = derive_params(2**14, 5, xi=xi)
+    mset = construct_candidate(p, seed=0)
+    cb = Codebook(p.n, p.w, p.ell)
+    asg = Assignment(seed=1, s_size=p.s_size)
+    rng = np.random.default_rng(chosen if isinstance(chosen, int) else 0)
+    defectives = rng.choice(p.n, size=p.k, replace=False) + 1 if isinstance(chosen, int) else chosen
+    y1, y2 = simulate_outcomes(defectives, asg, mset, cb, rng=rng if xi else None)
+    result = decode(y1, y2, mset, cb, threshold=threshold)
+    assert sorted(result.estimate) == estimate
+    assert result.string_list.tolist() == strings
+    assert result.failures == failures
 
 
 def test_decode_empty():
