@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="results JSON path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="sweep threads (default 1; with --config, overrides its threads)")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--record-trials", action="store_true",
                    help="also write a per-trial JSONL next to the results")
@@ -113,8 +115,6 @@ def _cmd_run(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(json.load(fh))
-        if args.threads != 1:
-            cfg.threads = args.threads
     else:
         if args.n is None or args.k is None:
             print("run requires --config, or --n and --k", file=sys.stderr)
@@ -125,10 +125,11 @@ def _cmd_run(args) -> int:
             trials=args.trials,
             seed=args.seed,
             verify=not args.no_verify,
-            threads=args.threads,
             record_trials=args.record_trials,
             max_attempts=args.max_attempts,
         )
+    if args.threads is not None:
+        cfg = dataclasses.replace(cfg, threads=args.threads)
     results, _ = run_experiment(cfg, out_path=args.out)
     for cell in results["cells"]:
         spec = cell["spec"]

@@ -14,7 +14,10 @@ set-quality notions are statistics of pairwise collision counts:
   of w/(c1*k), max deviation from that mean at most 6.1, and squared-deviation
   sum at most (|S|-1) * 2w/(c1*k).  The constants are asymptotic: at desk-size
   parameters random candidates essentially never satisfy the max-deviation
-  bound, which is why construction also offers an unverified path.
+  bound, which is why construction also offers an unverified path.  The
+  pair counts come from `pairwise_collisions`, which counts only the pairs
+  that share a bucket: about |S|^2 w / (2 c1*k) increments for random
+  offsets, plus O(|S|^2) row reductions.
 
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
   w/(2k) times.
@@ -45,6 +48,9 @@ _STATUSES = (STATUS_UNVERIFIED, STATUS_PROMISING, STATUS_SMALLK)
 
 # Segments read per pass of MaskingSet.reaching.
 _SCAN = 32
+
+# Strings whose collision pairs pairwise_collisions counts in one bincount.
+_PAIR_ROWS = 16
 
 
 @dataclass
@@ -161,16 +167,52 @@ def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
     return MaskingSet(offsets, params, seed, STATUS_UNVERIFIED)
 
 
-def pairwise_collisions(offsets: np.ndarray) -> np.ndarray:
-    """Symmetric |S| x |S| matrix of pair collision counts (diagonal = w)."""
-    s = offsets.shape[0]
-    out = np.empty((s, s), dtype=np.int64)
-    # Block the comparison so the (rows x s x w) boolean tensor stays modest.
-    block = max(1, (1 << 24) // max(1, offsets.shape[0] * offsets.shape[1]))
-    for lo in range(0, s, block):
-        hi = min(s, lo + block)
-        eq = offsets[lo:hi, None, :] == offsets[None, :, :]
-        out[lo:hi] = eq.sum(axis=2, dtype=np.int64)
+def pairwise_collisions(offsets) -> np.ndarray:
+    """Symmetric |S| x |S| matrix of pair collision counts (diagonal = w).
+
+    offsets is the (|S|, w) array of per-segment offsets.  Two strings
+    collide at segment j only when they share the bucket (j, offset), so
+    only those pairs are counted: a stable argsort of the buckets lists each
+    bucket's strings, every (string, segment) pairs with the strings listed
+    after it in its bucket, and one bincount per _PAIR_ROWS strings counts
+    the pairs.  For uniform offsets over c1*k values that is about
+    |S|^2 w / (2 c1*k) increments.  Counts are uint16, or int32 when
+    w > 65535.
+    """
+    offsets = np.asarray(offsets)
+    if offsets.ndim != 2 or not np.issubdtype(offsets.dtype, np.integer):
+        raise InvalidInput("offsets must be a 2-D integer array (strings x segments)")
+    if offsets.size and offsets.min() < 0:
+        raise InvalidInput("offsets must be non-negative")
+    s, w = offsets.shape
+    out = np.zeros((s, s), dtype=np.uint16 if w <= 0xFFFF else np.int32)
+    if offsets.size:
+        # int32 indices when every position, pair code and block pair count fits.
+        idx = np.int32 if s * w * _PAIR_ROWS < 2**31 else np.int64
+        span = int(offsets.max()) + 1
+        buckets = (offsets + np.arange(0, w * span, span)).ravel()
+        # The narrowest key type: keys of 16 bits or less sort by radix.
+        buckets = buckets.astype(np.min_scalar_type(w * span))
+        order = np.argsort(buckets, kind="stable").astype(idx)
+        members = order // idx(w)  # the strings, bucket by bucket, ascending
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size, dtype=idx)
+        # Entries listed after each (string, segment) in its bucket.
+        in_order = buckets[order]
+        bounds = np.flatnonzero(np.r_[True, in_order[1:] != in_order[:-1], True]).astype(idx)
+        ends = np.repeat(bounds[1:], np.diff(bounds))
+        later = (ends - np.arange(1, order.size + 1, dtype=idx))[pos]
+        for lo in range(0, s, _PAIR_ROWS):
+            hi = min(s, lo + _PAIR_ROWS)
+            after = later[lo * w:hi * w]
+            first = np.cumsum(after, dtype=idx) - after
+            at = np.arange(first[-1] + after[-1], dtype=idx)
+            at += np.repeat(pos[lo * w:hi * w] + 1 - first, after)
+            codes = np.repeat(np.arange(0, (hi - lo) * s, s, dtype=idx).repeat(w), after)
+            codes += members[at]
+            out[lo:hi] = np.bincount(codes, minlength=(hi - lo) * s).reshape(hi - lo, s)
+        out += out.T
+    np.fill_diagonal(out, w)
     return out
 
 
@@ -206,7 +248,8 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
     "sq_dev" (squared-deviation sum at most (|S|-1) * 2w/(c1*k)).  All three
     are evaluated in exact integer arithmetic.  On pass, the set's status is
     upgraded to "promising".  Sets built with c1 != 4 use the generalized
-    targets and are flagged as such.  O(|S|^2 w) time.
+    targets and are flagged as such.  Costs about |S|^2 w / (c1*k) pair
+    increments in pairwise_collisions plus O(|S|^2) row reductions.
     """
     params = mset.params
     s_size, w = params.s_size, params.w
@@ -219,16 +262,21 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
 
     c = pairwise_collisions(mset.offsets)
     n_others = s_size - 1
-    sums = c.sum(axis=1) - np.int64(w)  # remove the diagonal self-term
+    # Off-diagonal row statistics; the diagonal w is no smaller than any count.
+    cmin = c.min(axis=1).astype(np.int64)
+    np.fill_diagonal(c, 0)
+    cmax = c.max(axis=1).astype(np.int64)
+    sums = c.sum(axis=1, dtype=np.int64)
+    squares = np.einsum("ij,ij->i", c, c, dtype=np.int64)
 
-    # Deviations as exact numerators over denominator n_others.
-    dev = n_others * c - sums[:, None]
-    np.fill_diagonal(dev, 0)
-    abs_dev = np.abs(dev)
-    max_dev_num = abs_dev.max(axis=1)
-    # Row sums of dev^2 fit int64 comfortably at any size we construct
-    # directly, but the rhs bound 2*w*N^3 may not: compare with Python ints.
-    sq_dev_num = [int(v) for v in np.einsum("ij,ij->i", dev, dev)]
+    # Deviations n_others * c_ij - sums_i are exact numerators over
+    # denominator n_others, so the largest is at the row max or min, and
+    # their squares sum to n_others^2 * squares_i - n_others * sums_i^2.  The
+    # rhs bound 2*w*N^3 may not fit int64: the squared sums are Python ints.
+    max_dev_num = np.maximum(n_others * cmax - sums, sums - n_others * cmin)
+    sq_dev_num = [
+        n_others**2 * int(q) - n_others * int(v) ** 2 for q, v in zip(squares, sums)
+    ]
 
     mean_ok = 25 * np.abs(c1k * sums - w * np.int64(n_others)) <= w * np.int64(n_others)
     max_ok = 10 * max_dev_num <= 61 * np.int64(n_others)
@@ -286,7 +334,8 @@ def smallk_pairs_ok(mset: MaskingSet) -> bool:
     """True when every pair collides in at most w/(2k) segments."""
     c = pairwise_collisions(mset.offsets)
     np.fill_diagonal(c, 0)
-    return bool((2 * mset.params.k * c <= mset.params.w).all())
+    # Not 2k * c <= w: that product could wrap in c's narrow type.
+    return bool((c <= mset.params.w // (2 * mset.params.k)).all())
 
 
 def build_smallk_set(params: SchemeParams, seed: int, max_attempts: int = 1000) -> MaskingSet:

@@ -89,6 +89,38 @@ def test_run_with_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+def test_run_threads_flag_overrides_the_config(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_run_experiment(cfg, out_path):
+        seen.append(cfg)
+        return {"cells": [], "completed": True}, None
+
+    monkeypatch.setattr("bitmix.cli.run_experiment", fake_run_experiment)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "cells": [{"n": 4096, "k": 2, "regime": "smallk"}],
+        "trials": 10, "seed": 9, "threads": 2,
+    }))
+    out = str(tmp_path / "r.json")
+    cell = ["--n", "4096", "--k", "2", "--regime", "smallk"]
+    for argv, threads in [
+        (["--config", str(cfg_path), "--threads", "1"], 1),
+        (["--config", str(cfg_path), "--threads", "3"], 3),
+        (["--config", str(cfg_path)], 2),
+        (cell, 1),
+        (cell + ["--threads", "2"], 2),
+    ]:
+        assert main(["run", *argv, "--out", out]) == 0
+        assert seen.pop().threads == threads
+    capsys.readouterr()
+
+    # the override is validated like a config's own threads
+    assert main(["run", "--config", str(cfg_path), "--threads", "0", "--out", out]) == 1
+    assert "threads" in capsys.readouterr().err
+    assert not seen
+
 def test_run_rejects_a_bad_kprime(tmp_path, capsys):
     rc = main([
         "run", "--n", "4096", "--k", "2", "--regime", "smallk", "--kprime", "foo",

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bitmix.errors import (
     ShapeMismatch,
 )
 from bitmix.masking import (
+    _PAIR_ROWS,
     STATUS_PROMISING,
     STATUS_SMALLK,
     STATUS_UNVERIFIED,
@@ -24,6 +26,7 @@ from bitmix.masking import (
     collisions,
     construct_candidate,
     pairwise_collisions,
+    smallk_pairs_ok,
     verify_promising,
 )
 from bitmix.params import REGIME_SMALLK, SchemeParams, derive_params
@@ -103,6 +106,27 @@ def test_pairwise_collisions_blocked_path():
         assert mat[i, j] == int(np.count_nonzero(offsets[i] == offsets[j]))
 
 
+def test_pairwise_collisions_rejects_malformed_offsets():
+    for bad in (
+        np.array([0, 1, 2]),  # one string, not a (strings x segments) array
+        np.zeros((2, 3, 4), dtype=np.int64),
+        np.array([[0, 1], [-1, 0]]),  # negative offset
+        np.array([[0.0, 1.0], [1.0, 0.0]]),  # not integers
+    ):
+        with pytest.raises(InvalidInput):
+            pairwise_collisions(bad)
+
+
+def test_pairwise_collisions_counts_in_a_narrow_type():
+    # uint16 holds any count up to w = 65535; wider strings need int32, or
+    # counts past 65535 would wrap
+    assert pairwise_collisions(np.zeros((3, 65535), dtype=np.int32)).dtype == np.uint16
+    mat = pairwise_collisions(np.zeros((3, 65536), dtype=np.int32))
+    assert mat.dtype == np.int32
+    assert (mat == 65536).all()
+    assert pairwise_collisions(np.zeros((0, 5), dtype=np.int32)).shape == (0, 0)
+    assert (pairwise_collisions(np.zeros((2, 0), dtype=np.int32)) == 0).all()
+
 def test_construct_candidate_deterministic():
     p = derive_params(2**16, 5)
     a = construct_candidate(p, seed=41)
@@ -181,6 +205,102 @@ def test_verify_stats_shapes():
     assert stats.max_dev_num.tolist() == [0, 0, 0]
     assert stats.sq_dev_num == [0, 0, 0]
 
+
+
+def _dense_certificate(offsets, c1k, k):
+    # the certificate and the small-k bound straight from their definitions:
+    # collision counts from the full (|S|, |S|, w) comparison, the conditions
+    # as exact fractions
+    s, w = offsets.shape
+    c = (offsets[:, None, :] == offsets[None, :, :]).sum(axis=2, dtype=np.int64)
+    others = ~np.eye(s, dtype=bool)
+    n_others = s - 1
+    sums = np.array([int(c[i, others[i]].sum()) for i in range(s)])
+    dev = [[n_others * int(v) - int(sums[i]) for v in c[i, others[i]]] for i in range(s)]
+    max_dev_num = np.array([max(abs(d) for d in row) for row in dev])
+    sq_dev_num = [sum(d * d for d in row) for row in dev]
+    target = Fraction(w, c1k)
+    first = None
+    for i in range(s):
+        checks = [
+            ("mean", abs(Fraction(int(sums[i]), n_others) - target) <= Fraction(4, 100) * target),
+            ("max_dev", Fraction(int(max_dev_num[i]), n_others) <= Fraction(61, 10)),
+            ("sq_dev", Fraction(sq_dev_num[i], n_others**2) <= 2 * n_others * target),
+        ]
+        failed = [name for name, ok in checks if not ok]
+        if failed:
+            first = (i, failed[0])
+            break
+    smallk = bool((2 * k * c[others] <= w).all())
+    return sums, max_dev_num, sq_dev_num, first, smallk
+
+
+def _sq_dev_breaking_set():
+    # string 0 collides 5 and 15 times with strings 1 and 2: its mean is on
+    # target 10 and its largest deviation is 5, but its squared-deviation
+    # sum 50 exceeds (|S|-1) * 2w/(c1*k) = 40
+    w = 40
+    s1 = np.where(np.arange(w) < 5, 0, 1)
+    s2 = np.repeat([0, 1, 2], [15, 10, 15])
+    p = _params(n=16, k=1, w=w, ell=6, s_size=3)
+    return MaskingSet(np.stack([np.zeros(w, dtype=np.int64), s1, s2]), p, seed=0)
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(17)
+    exact = _equal_collision_set()
+    yield exact
+    yield MaskingSet(np.tile(exact.offsets, (1, 4)), _params(n=16, k=1, w=160, ell=8, s_size=3), 0)
+    yield _sq_dev_breaking_set()
+    # random sets: |S| = 2, |S| on both sides of a row block and not a
+    # multiple of it, and w both small and not a round number
+    for s_size, w, k in [(2, 9, 1), (2, 130, 3), (_PAIR_ROWS - 1, 37, 2),
+                         (_PAIR_ROWS + 3, 61, 1), (2 * _PAIR_ROWS + 5, 203, 2),
+                         (3 * _PAIR_ROWS + 1, 17, 1)]:
+        p = _params(n=64, k=k, w=w, ell=8, s_size=s_size)
+        offsets = rng.integers(0, p.segment_len, size=(s_size, w))
+        yield MaskingSet(offsets, p, seed=0)
+        # duplicate strings
+        dup = offsets.copy()
+        dup[-1] = dup[0]
+        if s_size > 3:
+            dup[1] = dup[2]
+        yield MaskingSet(dup, p, seed=0)
+        # offsets from few values: many pairs collide in most segments
+        yield MaskingSet(rng.integers(0, 2, size=(s_size, w)), p, seed=0)
+        # one offset value, as with segment length 1: every pair collides
+        # everywhere
+        yield MaskingSet(np.zeros((s_size, w), dtype=np.int64), p, seed=0)
+    # derived parameters: a max_dev failure, and the very-sparse regime
+    yield construct_candidate(derive_params(2**12, 3), seed=0)
+    yield construct_candidate(derive_params(2**16, 2, regime=REGIME_SMALLK), seed=1)
+    # w > 65535: a uint16 count would wrap
+    p = _params(n=16, k=1, w=70_000, ell=17, s_size=3)
+    offsets = np.zeros((3, 70_000), dtype=np.int64)
+    offsets[2, :5] = 1
+    yield MaskingSet(offsets, p, seed=0)
+
+
+def test_certificate_matches_dense_reference():
+    seen = set()
+    for mset in _certificate_cases():
+        p = mset.params
+        sums, max_dev_num, sq_dev_num, first, smallk = _dense_certificate(
+            mset.offsets.astype(np.int64), p.segment_len, p.k
+        )
+        report = verify_promising(mset)
+        assert report.stats.sums.tolist() == sums.tolist()
+        assert report.stats.max_dev_num.tolist() == max_dev_num.tolist()
+        assert report.stats.sq_dev_num == sq_dev_num
+        assert all(type(v) is int for v in report.stats.sq_dev_num)
+        assert report.stats.n_others == len(mset) - 1
+        assert report.passed == (first is None)
+        assert (report.first_violation and report.first_violation[:2]) == first
+        assert smallk_pairs_ok(mset) == smallk
+        seen.add(first and first[1])
+        seen.add(smallk)
+    # every outcome of both checks occurs among the cases
+    assert seen == {None, "mean", "max_dev", "sq_dev", True, False}
 
 def test_verify_fails_on_duplicate():
     mset = _equal_collision_set()
