@@ -7,18 +7,32 @@ is w - m + 1, so any f <= w - m erasures are correctable, and any (e, f) with
 2e + f <= w - m is correctable with errors.
 
 `Codebook.decode_words` decodes a whole (L, w) matrix of received words in
-one pass of array operations.  Noisy words take every step below; noiseless
-words skip straight to step 4, with their erasures as the only errata:
-  1. syndromes of every row, as one GF matrix product with the parity checks;
-  2. Berlekamp-Massey with erasures (Berlekamp 1968; Massey 1969), batched
-     over the rows: each row starts from its erasure locator at its own step
-     f, its erasure count;
-  3. a Chien search over the w points finds the roots of each row's errata
-     locator, and the errors found join the erasures;
-  4. one batched m x m Vandermonde solve on the first m surviving positions.
-Point 0 is no locator root, so steps 1-3 work on the translated points
+one pass of array operations, in two stages:
+  1. candidates: each row's first T disjoint m-tuples of unerased positions
+     (T = _TUPLES when noisy, 1 when noiseless) give T messages, by one
+     batched m x m Vandermonde solve and one re-encode.  A row keeps the
+     first message whose codeword passes the check below.  This is the
+     whole noiseless decode.
+  2. errata, for the noisy rows that no tuple fits:
+     a. syndromes of each row, as one GF matrix product with the parity
+        checks;
+     b. Berlekamp-Massey with erasures (Berlekamp 1968; Massey 1969),
+        batched over the rows: each row starts from its erasure locator at
+        its own step f, its erasure count;
+     c. a Chien search over the w points finds the roots of each row's
+        errata locator, and the errors found join the erasures;
+     d. the same solve and check, on the first m positions outside the
+        errata.
+Point 0 is no locator root, so 2a-2c work on the translated points
 b_j = j ^ w, all nonzero because w < q.  Translation maps the code onto
-itself, and step 4 solves on the original points.
+itself, and 2d solves on the original points.
+
+Any m symbols of a codeword determine it, and a codeword within 2e + f <=
+w - m of a word is the only one there, because the minimum distance is
+w - m + 1.  So a message that passes the noisy check is the codeword that
+bounded-distance decoding returns, however it was found, and the candidate
+stage changes no outcome: a row with a codeword within the radius decodes
+to it in either stage, and a row without one fails the check in both.
 
 Decoding never trusts its own algebra: every message is re-encoded and
 checked against every non-erased symbol (exact agreement when noiseless,
@@ -44,6 +58,16 @@ from .errors import (
 from .gf import GF2m, get_field
 
 ERASURE = -1
+
+# m-tuples of unerased positions the candidate stage tries per noisy row.  At
+# xi = 0.05 and ell = 9 a symbol is wrong with probability 1 - 0.95^9 = 0.37,
+# so a 3-tuple is clean with probability 0.63^3 = 0.25, and 32 tuples all miss
+# a decodable row with probability about 0.75^32 = 1e-4.  A row they miss
+# still decodes, through Berlekamp-Massey.
+_TUPLES = 32
+
+# Re-encoded symbols held at once by `Codebook._fit` (8 MB of int64).
+_BLOCK = 1 << 20
 
 
 def _as_words(words, w: int, q: int) -> np.ndarray:
@@ -94,8 +118,9 @@ class Codebook:
 
         checks[i, j] = v_j b_j^i for i < w - m, with v_j = 1 / prod_{l != j}
         (b_j - b_l), is a parity-check matrix of the code; powers[k, j] =
-        b_j^-k for k <= w - m evaluates a locator at every b_j^-1.  Built on
-        the first noisy decode, so noiseless use never pays for them.
+        b_j^-k for k <= w - m evaluates a locator at every b_j^-1.  Built
+        when a row first reaches the errata stage, which noiseless rows never
+        do.
         """
         field, radius = self.field, self.w - self.m
         translated = self.points ^ self.w
@@ -119,6 +144,14 @@ class Codebook:
             lies within 2e + f <= w - m of the word (e errors, f erasures).
         Raises InvalidInput unless `words` is an (L, w) matrix of symbols in
         [0, q) or ERASURE.
+
+        Two stages (see the module docstring).  The candidate stage tries
+        the messages through a row's first _TUPLES disjoint m-tuples of
+        unerased positions (one tuple when noiseless).  Noisy rows that no
+        tuple fits go through syndromes, Berlekamp-Massey and a Chien search,
+        then the same solve and check.  A codeword that passes the noisy
+        check is the only one within the radius, so the outcome is that of
+        bounded-distance decoding whichever stage finds it.
         """
         words = _as_words(words, self.w, self.q)
         radius = self.w - self.m
@@ -138,16 +171,24 @@ class Codebook:
 
         received, erased, n_erased = words[rows], erased[rows], n_erased[rows]
         received[erased] = 0  # every entry a field element; erased ones are never checked
-        errata = erased | self._locate_errors(received, erased, n_erased) if noisy else erased
-        # The first m positions outside the errata.  A word beyond the radius
-        # may have fewer, so the solve reads errata too; the re-encode check
-        # below judges that message like any other.
-        keep = np.argsort(errata, axis=1, kind="stable")[:, : self.m]
-        msg = self.field.solve(self._vand[keep], np.take_along_axis(received, keep, axis=1))
-        wrong = np.count_nonzero(
-            (self.field.matmul(msg, self._vand.T) != received) & ~erased, axis=1
-        )
-        ok = 2 * wrong + n_erased <= radius if noisy else wrong == 0
+        # Unerased positions first.  A row with fewer than tuples * m of them
+        # fills its last tuples with erased ones; the check judges the
+        # message they give like any other.
+        tuples = min(_TUPLES if noisy else 1, self.w // self.m)
+        keep = np.argsort(erased, axis=1, kind="stable")[:, : tuples * self.m]
+        keep = keep.reshape(len(rows), tuples, self.m)
+        msg, ok = self._fit(received, erased, n_erased, keep, noisy)
+        first = np.argmax(ok, axis=1)
+        msg, ok = msg[np.arange(len(rows)), first], ok.any(axis=1)
+        left = np.nonzero(~ok)[0]
+        if noisy and left.size:
+            sub = received[left], erased[left], n_erased[left]
+            errata = sub[1] | self._locate_errors(*sub)
+            # The first m positions outside the errata.  A word beyond the
+            # radius may have fewer, so the solve reads errata too.
+            keep = np.argsort(errata, axis=1, kind="stable")[:, None, : self.m]
+            fitted, passed = self._fit(*sub, keep, noisy)
+            msg[left], ok[left] = fitted[:, 0], passed[:, 0]
         index = np.dot(msg.astype(object), [self.q**d for d in range(self.m)]) + 1
         failure = DecodingFailure if noisy else InconsistentWord
         for row, good, idx in zip(rows, ok, index):
@@ -162,8 +203,28 @@ class Codebook:
                 items[row] = idx
         return items, errors
 
+    def _fit(self, received, erased, n_erased, keep, noisy: bool):
+        """Messages through the m-tuples of positions keep[r, t], and their check.
+
+        Returns (msg, ok) of shapes (R, T, m) and (R, T): ok when the
+        message's codeword disagrees with row r at no unerased symbol
+        (noiseless), or at e of them with 2e + f <= w - m (noisy).
+        """
+        field, (rows, tuples, m) = self.field, keep.shape
+        msg = field.solve(self._vand[keep], received[np.arange(rows)[:, None, None], keep])
+        wrong = np.empty((rows, tuples), dtype=np.int64)
+        step = max(1, _BLOCK // (tuples * self.w))
+        for lo in range(0, rows, step):
+            hi = lo + step
+            codes = field.matmul(msg[lo:hi].reshape(-1, m), self._vand.T)
+            disagree = codes.reshape(-1, tuples, self.w) != received[lo:hi, None]
+            wrong[lo:hi] = np.count_nonzero(disagree & ~erased[lo:hi, None], axis=2)
+        if noisy:
+            return msg, 2 * wrong + n_erased[:, None] <= self.w - self.m
+        return msg, wrong == 0
+
     def _locate_errors(self, received, erased, n_erased) -> np.ndarray:
-        """Roots of each row's errata locator, as an (L, w) mask (steps 1-3)."""
+        """Roots of each row's errata locator, as an (L, w) mask (stages 2a-2c)."""
         field, radius = self.field, self.w - self.m
         checks, powers = self._locator_tables
         translated = self.points ^ self.w

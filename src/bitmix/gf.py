@@ -104,10 +104,12 @@ class GF2m:
 
         The (L, K, N) products are gathered a block of rows at a time, with
         about _BLOCK elements per block (never less than one row), so memory
-        does not grow with L.
+        does not grow with L.  The log table of `b` is made C-contiguous:
+        callers pass transposed views, and gathering along their strides is
+        several times slower.
         """
         log_a = self._log[np.asarray(a, dtype=np.int64)]
-        log_b = self._log[np.asarray(b, dtype=np.int64)]
+        log_b = np.ascontiguousarray(self._log[np.asarray(b, dtype=np.int64)])
         out = np.empty((log_a.shape[0], log_b.shape[1]), dtype=np.int64)
         step = max(1, _BLOCK // max(1, log_b.size))
         for lo in range(0, log_a.shape[0], step):

@@ -54,6 +54,14 @@ def _pinned_kprime(value) -> int:
     raise InvalidInput(f'kprime must be "uniform" or an integer, got {value!r}')
 
 
+def _checked_integer(name: str, value, low=None) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if low is None or value >= low:
+            return int(value)
+    raise InvalidInput(f"{name} must be an integer{'' if low is None else f' >= {low}'}, "
+                       f"got {value!r}")
+
+
 @dataclass
 class CellSpec:
     n: int
@@ -103,10 +111,14 @@ class ExperimentConfig:
     max_attempts: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidInput("trials must be >= 1")
-        if self.threads < 1:
-            raise InvalidInput("threads must be >= 1")
+        self.trials = _checked_integer("trials", self.trials, 1)
+        self.seed = _checked_integer("seed", self.seed)
+        self.threads = _checked_integer("threads", self.threads, 1)
+        if self.max_attempts is not None:
+            self.max_attempts = _checked_integer("max_attempts", self.max_attempts, 1)
+        for name in ("verify", "record_trials"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidInput(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not self.cells:
             raise InvalidInput("config needs at least one cell")
         self.cells = [
@@ -125,13 +137,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """The config of a JSON object; scalars are checked, never coerced."""
+        if not isinstance(obj, dict) or not {"cells", "trials", "seed"} <= obj.keys():
+            raise InvalidInput("a config needs cells, trials and seed")
         return cls(
             cells=[CellSpec.from_json(c) for c in obj["cells"]],
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
-            verify=bool(obj.get("verify", True)),
-            threads=int(obj.get("threads", 1)),
-            record_trials=bool(obj.get("record_trials", False)),
+            trials=obj["trials"],
+            seed=obj["seed"],
+            verify=obj.get("verify", True),
+            threads=obj.get("threads", 1),
+            record_trials=obj.get("record_trials", False),
             max_attempts=obj.get("max_attempts"),
         )
 

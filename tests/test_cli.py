@@ -139,6 +139,19 @@ def test_run_rejects_a_bad_kprime(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_run_rejects_bad_config_scalars(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    for name, bad in [("max_attempts", "x"), ("verify", "no"), ("threads", 2.7),
+                      ("record_trials", "yes"), ("trials", "10")]:
+        cfg = {"cells": [{"n": 4096, "k": 2, "regime": "smallk"}], "trials": 1, "seed": 0}
+        cfg[name] = bad
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_cell_args(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path / "r.json")])
     assert rc == 2

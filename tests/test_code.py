@@ -1,10 +1,12 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bitmix import code
 from bitmix.code import ERASURE, Codebook, symbol_pack, symbol_unpack
 from bitmix.errors import (
     DecodingFailure,
@@ -260,16 +262,19 @@ def _all_codewords(w, m, ell):
 @settings(max_examples=150, deadline=None)
 @given(
     ell=st.sampled_from([3, 4]),
-    n=st.integers(min_value=1, max_value=256),
+    n=st.integers(min_value=1, max_value=4096),
     w=st.integers(min_value=2, max_value=15),
     noisy=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_decode_words_matches_brute_force(ell, n, w, noisy, seed):
     # every outcome of the batched decoder, item or failure class, equals a
-    # decoder that tries all q^m messages, on words near and far from the code
-    n = min(n, (1 << ell) ** 2)
-    w = min(w, (1 << ell) - 1)
+    # decoder that tries all q^m messages, on words near and far from the code.
+    # m = 3 is drawn too: only then can every candidate m-tuple of a word
+    # within the radius hold an error, which sends it through Berlekamp-Massey
+    n = min(n, (1 << ell) ** 3)
+    m = max(1, math.ceil(math.log2(n) / ell))
+    w = min(max(w, m), (1 << ell) - 1)
     cb = Codebook(n, w, ell)
     codewords = _all_codewords(w, cb.m, ell)
     rng = np.random.default_rng(seed)
@@ -291,7 +296,7 @@ def test_decode_words_matches_brute_force(ell, n, w, noisy, seed):
             assert item is None and type(error) is want
 
 
-def test_decode_words_rows_are_independent():
+def test_decode_words_rows_are_independent(monkeypatch):
     # a batch decodes each row as if it were alone, whatever the other rows'
     # erasure counts and locator degrees are
     cb = Codebook(n=3000, w=15, ell=4)
@@ -306,6 +311,8 @@ def test_decode_words_rows_are_independent():
         "error at 0": base.copy(),
         "error at 0, 4 erasures": base.copy(),
         "7 errors": base.copy(),
+        "an error in every tuple": base.copy(),
+        "an error in every tuple, 2 erasures": base.copy(),
         "index above n": Codebook(n=4096, w=15, ell=4).encode_index(4000),
         "random": rng.integers(0, cb.q, size=cb.w),
     }
@@ -315,6 +322,12 @@ def test_decode_words_rows_are_independent():
     rows["error at 0, 4 erasures"][0] ^= 9
     rows["error at 0, 4 erasures"][[2, 5, 7, 11]] = ERASURE
     rows["7 errors"][:7] ^= 3
+    # The candidate tuples are (0,1,2), (3,4,5), ...; with 1 and 2 erased
+    # they are (0,3,4), (5,6,7), ..., (14,1,2).  No tuple is clean, so only
+    # Berlekamp-Massey decodes these rows; the second lies at the radius.
+    rows["an error in every tuple"][[0, 3, 6, 9, 12]] ^= 6
+    rows["an error in every tuple, 2 erasures"][[1, 2]] = ERASURE
+    rows["an error in every tuple, 2 erasures"][[0, 5, 8, 11, 14]] ^= 7
     words = np.array(list(rows.values()))
     for noisy in (False, True):
         items, errors = cb.decode_words(words, noisy)
@@ -327,15 +340,24 @@ def test_decode_words_rows_are_independent():
         back_items, back_errors = cb.decode_words(words[::-1], noisy)
         assert back_items[::-1] == items
         assert [type(e) for e in back_errors[::-1]] == [type(e) for e in errors]
+        # a block size that makes the candidate stage re-encode in many blocks
+        with monkeypatch.context() as patch:
+            patch.setattr(code, "_BLOCK", 64)
+            small_items, small_errors = cb.decode_words(np.tile(words, (3, 1)), noisy)
+        assert small_items == items * 3
+        assert [type(e) for e in small_errors] == [type(e) for e in errors] * 3
         got = dict(zip(rows, outcomes))
         assert got["clean"] == got["f=w-m"] == 2024
         assert got["all erased"] is (DecodingFailure if noisy else TooManyErasures)
         if noisy:
             assert got["f=0, 6 errors"] == got["error at 0"] == 2024
             assert got["error at 0, 4 erasures"] == 2024
+            assert got["an error in every tuple"] == 2024
+            assert got["an error in every tuple, 2 erasures"] == 2024
             assert got["index above n"] is DecodingFailure
         else:
             assert got["f=0, 6 errors"] is got["error at 0"] is InconsistentWord
+            assert got["an error in every tuple"] is InconsistentWord
             assert got["index above n"] is InconsistentWord
 
 

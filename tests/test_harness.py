@@ -62,6 +62,23 @@ def test_config_validation_and_semantics():
     # dict cells are accepted and normalized
     cfg2 = ExperimentConfig(cells=[cell.to_json()], trials=5, seed=0)
     assert cfg2.cells[0] == cell
+    # a JSON config's scalars are checked, not coerced
+    base = {"cells": [cell.to_json()], "trials": 5, "seed": 0}
+    ok = ExperimentConfig.from_json(
+        {**base, "verify": False, "threads": 2, "record_trials": True, "max_attempts": 3}
+    )
+    assert (ok.verify, ok.threads, ok.record_trials, ok.max_attempts) == (False, 2, True, 3)
+    for name, bad in [
+        ("max_attempts", "x"), ("max_attempts", 0), ("max_attempts", 2.0),
+        ("verify", "no"), ("verify", 1), ("threads", 2.7), ("threads", "2"),
+        ("record_trials", 1), ("record_trials", None), ("trials", "5"),
+        ("trials", True), ("seed", 1.5), ("seed", None),
+    ]:
+        with pytest.raises(InvalidInput, match=name):
+            ExperimentConfig.from_json({**base, name: bad})
+    for missing in ("cells", "trials", "seed"):
+        with pytest.raises(InvalidInput, match="needs cells, trials and seed"):
+            ExperimentConfig.from_json({k: v for k, v in base.items() if k != missing})
 
 
 def test_config_from_json_round_trip():
