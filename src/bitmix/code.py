@@ -210,11 +210,11 @@ class Codebook:
         message's codeword disagrees with row r at no unerased symbol
         (noiseless), or at e of them with 2e + f <= w - m (noisy).
         """
-        field, (rows, tuples, m) = self.field, keep.shape
-        msg = field.solve(self._vand[keep], received[np.arange(rows)[:, None, None], keep])
-        wrong = np.empty((rows, tuples), dtype=np.int64)
+        field, (n_rows, tuples, m) = self.field, keep.shape
+        msg = field.solve(self._vand[keep], received[np.arange(n_rows)[:, None, None], keep])
+        wrong = np.empty((n_rows, tuples), dtype=np.int64)
         step = max(1, _BLOCK // (tuples * self.w))
-        for lo in range(0, rows, step):
+        for lo in range(0, n_rows, step):
             hi = lo + step
             codes = field.matmul(msg[lo:hi].reshape(-1, m), self._vand.T)
             disagree = codes.reshape(-1, tuples, self.w) != received[lo:hi, None]

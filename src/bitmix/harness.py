@@ -71,6 +71,11 @@ class CellSpec:
     kprime: object = "uniform"  # "uniform" or a pinned integer in [0, k]
 
     def __post_init__(self):
+        self.n = _checked_integer("n", self.n)
+        self.k = _checked_integer("k", self.k)
+        if not isinstance(self.xi, numbers.Real) or isinstance(self.xi, bool):
+            raise InvalidInput(f"xi must be a number, got {self.xi!r}")
+        self.xi = float(self.xi)
         if self.regime not in REGIMES:
             raise InvalidInput(f"unknown regime {self.regime!r}")
         if self.kprime != "uniform":
@@ -91,10 +96,12 @@ class CellSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CellSpec":
+        if not isinstance(obj, dict) or not {"n", "k"} <= obj.keys():
+            raise InvalidInput(f"a cell needs n and k, got {obj!r}")
         return cls(
-            n=int(obj["n"]),
-            k=int(obj["k"]),
-            xi=float(obj.get("xi", 0.0)),
+            n=obj["n"],
+            k=obj["k"],
+            xi=obj.get("xi", 0.0),
             regime=obj.get("regime", REGIME_GENERAL),
             kprime=obj.get("kprime", "uniform"),
         )
@@ -140,6 +147,8 @@ class ExperimentConfig:
         """The config of a JSON object; scalars are checked, never coerced."""
         if not isinstance(obj, dict) or not {"cells", "trials", "seed"} <= obj.keys():
             raise InvalidInput("a config needs cells, trials and seed")
+        if not isinstance(obj["cells"], list):
+            raise InvalidInput(f"cells must be a list, got {obj['cells']!r}")
         return cls(
             cells=[CellSpec.from_json(c) for c in obj["cells"]],
             trials=obj["trials"],

@@ -136,20 +136,17 @@ def test_run_rejects_a_bad_kprime(tmp_path, capsys):
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert "kprime" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
-
-
-def test_run_rejects_bad_config_scalars(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    out = tmp_path / "r.json"
+    # the config's own scalars are checked the same way
     for name, bad in [("max_attempts", "x"), ("verify", "no"), ("threads", 2.7),
-                      ("record_trials", "yes"), ("trials", "10")]:
+                      ("record_trials", "yes"), ("trials", "10"),
+                      ("cells", {"n": 4096, "k": 2, "regime": "smallk"})]:
         cfg = {"cells": [{"n": 4096, "k": 2, "regime": "smallk"}], "trials": 1, "seed": 0}
         cfg[name] = bad
         cfg_path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
         assert f"error: {name}" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_missing_cell_args(tmp_path, capsys):

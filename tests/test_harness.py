@@ -42,6 +42,15 @@ def test_cellspec_validation():
     for bad in ("foo", "2.0", None, 2.7, 2.0, True, [1]):
         with pytest.raises(InvalidInput, match="kprime"):
             CellSpec(n=2**12, k=2, regime=REGIME_SMALLK, kprime=bad)
+    # a JSON cell's scalars are checked, not coerced
+    base = {"n": 2**12, "k": 2, "regime": REGIME_SMALLK}
+    for name, bad in [("n", 4096.9), ("n", "4096"), ("k", 2.5), ("k", True),
+                      ("xi", "0"), ("xi", None), ("xi", False)]:
+        with pytest.raises(InvalidInput, match=f"^{name} must"):
+            CellSpec.from_json({**base, name: bad})
+    for bad in ([4096, 2], {"n": 2**12}, "cell"):
+        with pytest.raises(InvalidInput, match="needs n and k"):
+            CellSpec.from_json(bad)
 
 
 def test_cellspec_json_round_trip():
@@ -74,8 +83,10 @@ def test_config_validation_and_semantics():
         ("record_trials", 1), ("record_trials", None), ("trials", "5"),
         ("trials", True), ("seed", 1.5), ("seed", None),
     ]:
-        with pytest.raises(InvalidInput, match=name):
+        with pytest.raises(InvalidInput, match=f"^{name} must"):
             ExperimentConfig.from_json({**base, name: bad})
+    with pytest.raises(InvalidInput, match="cells must be a list"):
+        ExperimentConfig.from_json({**base, "cells": cell.to_json()})
     for missing in ("cells", "trials", "seed"):
         with pytest.raises(InvalidInput, match="needs cells, trials and seed"):
             ExperimentConfig.from_json({k: v for k, v in base.items() if k != missing})
