@@ -84,11 +84,9 @@ def build_design(
     if not verify:
         mset = construct_candidate(params, mask_seed)
     elif regime == REGIME_SMALLK:
-        kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}
-        mset = build_smallk_set(params, mask_seed, **kwargs)
+        mset = build_smallk_set(params, mask_seed, max_attempts)
     else:
-        kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}
-        mset = build_lcs(params, mask_seed, **kwargs)
+        mset = build_lcs(params, mask_seed, max_attempts)
     return DesignBundle(mset, assign_seed)
 
 

@@ -13,7 +13,11 @@ it — is a pure function of the config's semantic fields (cells, trials, seed,
 verify, max_attempts).  Thread count never changes it: per-trial seeds are
 derived independently from (master seed, cell index, trial index).  Wall-clock
 decode timings are therefore kept out of the results file and written to a
-sidecar `<out stem>.timings.json` instead.
+sidecar `<out stem>.timings.json` instead; record_trials adds a third sidecar,
+`<out stem>.trials.jsonl`, and leaves the results as they are.
+
+Every JSON object the harness reads (config, cell, params) is read through
+its dataclass: the fields are the schema, and unknown keys are an error.
 """
 
 from __future__ import annotations
@@ -21,17 +25,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bundle import build_design
-from .errors import ConstructionFailed, InvalidInput, MalformedResultFile
+from .errors import BitmixError, ConstructionFailed, InvalidInput, MalformedResultFile
 from .masking import check_lcs_conditions_all
-from .params import REGIMES, REGIME_GENERAL, derive_params, total_test_bound
+from .params import (
+    REGIME_GENERAL,
+    SchemeParams,
+    checked_integer,
+    derive_params,
+    from_json_object,
+    total_test_bound,
+)
 from .scheme import decode, simulate_outcomes
 from .seeding import derive_seed
 
@@ -40,26 +50,6 @@ RESULTS_VERSION = 1
 TIMINGS_FORMAT = "bitmix-timings"
 
 FAILURE_CLASSES = ("duplicate-assignment", "string-miss", "string-extra", "code-failure")
-
-
-def _pinned_kprime(value) -> int:
-    """A pinned k' given as an integer or as its decimal string (CLI flag)."""
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
-    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise InvalidInput(f'kprime must be "uniform" or an integer, got {value!r}')
-
-
-def _checked_integer(name: str, value, low=None) -> int:
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        if low is None or value >= low:
-            return int(value)
-    raise InvalidInput(f"{name} must be an integer{'' if low is None else f' >= {low}'}, "
-                       f"got {value!r}")
 
 
 @dataclass
@@ -71,40 +61,25 @@ class CellSpec:
     kprime: object = "uniform"  # "uniform" or a pinned integer in [0, k]
 
     def __post_init__(self):
-        self.n = _checked_integer("n", self.n)
-        self.k = _checked_integer("k", self.k)
-        if not isinstance(self.xi, numbers.Real) or isinstance(self.xi, bool):
-            raise InvalidInput(f"xi must be a number, got {self.xi!r}")
-        self.xi = float(self.xi)
-        if self.regime not in REGIMES:
-            raise InvalidInput(f"unknown regime {self.regime!r}")
+        # derive_params checks n, k, xi and regime: invalid cells fail fast,
+        # before any trials run.
+        params = derive_params(self.n, self.k, xi=self.xi, regime=self.regime)
+        self.n, self.k, self.xi = params.n, params.k, params.xi
         if self.kprime != "uniform":
-            self.kprime = _pinned_kprime(self.kprime)
+            # The CLI passes a pinned k' as its decimal string.
+            kp = self.kprime
+            self.kprime = checked_integer(
+                "kprime", int(kp) if isinstance(kp, str) and kp.isdecimal() else kp
+            )
             if not 0 <= self.kprime <= self.k:
                 raise InvalidInput(f"pinned kprime must lie in [0, k], got {self.kprime}")
-        # Fail fast on invalid cells, before any trials run.
-        derive_params(self.n, self.k, xi=self.xi, regime=self.regime)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "xi": self.xi,
-            "regime": self.regime,
-            "kprime": self.kprime,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CellSpec":
-        if not isinstance(obj, dict) or not {"n", "k"} <= obj.keys():
-            raise InvalidInput(f"a cell needs n and k, got {obj!r}")
-        return cls(
-            n=obj["n"],
-            k=obj["k"],
-            xi=obj.get("xi", 0.0),
-            regime=obj.get("regime", REGIME_GENERAL),
-            kprime=obj.get("kprime", "uniform"),
-        )
+        return from_json_object(cls, obj, "a cell")
 
 
 @dataclass
@@ -118,14 +93,16 @@ class ExperimentConfig:
     max_attempts: int | None = None
 
     def __post_init__(self):
-        self.trials = _checked_integer("trials", self.trials, 1)
-        self.seed = _checked_integer("seed", self.seed)
-        self.threads = _checked_integer("threads", self.threads, 1)
+        self.trials = checked_integer("trials", self.trials, 1)
+        self.seed = checked_integer("seed", self.seed)
+        self.threads = checked_integer("threads", self.threads, 1)
         if self.max_attempts is not None:
-            self.max_attempts = _checked_integer("max_attempts", self.max_attempts, 1)
+            self.max_attempts = checked_integer("max_attempts", self.max_attempts, 1)
         for name in ("verify", "record_trials"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidInput(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.cells, list):
+            raise InvalidInput(f"cells must be a list, got {self.cells!r}")
         if not self.cells:
             raise InvalidInput("config needs at least one cell")
         self.cells = [
@@ -133,31 +110,15 @@ class ExperimentConfig:
         ]
 
     def semantic_json(self) -> dict:
-        """The fields that determine results (threads intentionally absent)."""
-        return {
-            "cells": [c.to_json() for c in self.cells],
-            "trials": self.trials,
-            "seed": self.seed,
-            "verify": self.verify,
-            "max_attempts": self.max_attempts,
-        }
+        """The fields that determine results (threads and record_trials absent)."""
+        obj = asdict(self)
+        del obj["threads"], obj["record_trials"]
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """The config of a JSON object; scalars are checked, never coerced."""
-        if not isinstance(obj, dict) or not {"cells", "trials", "seed"} <= obj.keys():
-            raise InvalidInput("a config needs cells, trials and seed")
-        if not isinstance(obj["cells"], list):
-            raise InvalidInput(f"cells must be a list, got {obj['cells']!r}")
-        return cls(
-            cells=[CellSpec.from_json(c) for c in obj["cells"]],
-            trials=obj["trials"],
-            seed=obj["seed"],
-            verify=obj.get("verify", True),
-            threads=obj.get("threads", 1),
-            record_trials=obj.get("record_trials", False),
-            max_attempts=obj.get("max_attempts"),
-        )
+        """The config of a JSON object; keys and scalars are checked, never coerced."""
+        return from_json_object(cls, obj, "a config")
 
 
 @dataclass
@@ -172,23 +133,9 @@ class TrialRecord:
     success: bool
     failure: str
     string_failures: int
+    # Not deterministic: kept out of the results, and of comparisons.
     batch1_seconds: float = field(compare=False)
     batch2_seconds: float = field(compare=False)
-
-    def to_json(self) -> dict:
-        # Timings deliberately excluded: they are not deterministic.
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "kprime": self.kprime,
-            "cond1": self.cond1,
-            "cond2_all": self.cond2_all,
-            "list_size": self.list_size,
-            "estimate_size": self.estimate_size,
-            "success": self.success,
-            "failure": self.failure,
-            "string_failures": self.string_failures,
-        }
 
 
 def _sample_distinct(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -260,26 +207,23 @@ def run_trial(bundle, trial_index: int, trial_seed: int, kprime) -> TrialRecord:
 
 
 def _run_cell(spec: CellSpec, cfg: ExperimentConfig, cell_index: int):
+    """The cell's results record and its TrialRecords (none if construction failed)."""
     params = derive_params(spec.n, spec.k, xi=spec.xi, regime=spec.regime)
     record = {
         "cell_index": cell_index,
         "spec": spec.to_json(),
         "params": params.to_json(),
     }
-    timings = {"cell_index": cell_index, "batch1_s": [], "batch2_s": []}
     design_seed = derive_seed(cfg.seed, 1, cell_index)
     try:
-        kwargs = {}
-        if cfg.max_attempts is not None:
-            kwargs["max_attempts"] = cfg.max_attempts
         bundle = build_design(
             spec.n, spec.k, xi=spec.xi, regime=spec.regime,
-            seed=design_seed, verify=cfg.verify, **kwargs,
+            seed=design_seed, verify=cfg.verify, max_attempts=cfg.max_attempts,
         )
     except ConstructionFailed as exc:
         record["construction"] = {"seed": design_seed, "error": str(exc)}
         record["completed"] = False
-        return record, timings
+        return record, []
 
     record["construction"] = {
         "seed": design_seed,
@@ -327,11 +271,7 @@ def _run_cell(spec: CellSpec, cfg: ExperimentConfig, cell_index: int):
             "list_oversize": int(sum(r.list_size > spec.k for r in trials)),
         }
     )
-    if cfg.record_trials:
-        record["trial_records"] = [r.to_json() for r in trials]
-    timings["batch1_s"] = [r.batch1_seconds for r in trials]
-    timings["batch2_s"] = [r.batch2_seconds for r in trials]
-    return record, timings
+    return record, trials
 
 
 def timings_path_for(results_path) -> str:
@@ -344,18 +284,33 @@ def trials_path_for(results_path) -> str:
     return base + ".trials.jsonl"
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def run_experiment(cfg: ExperimentConfig, out_path=None):
     """Run every cell; optionally persist results (+ timings sidecar).
 
     Returns (results, timings) as plain dicts.  The results dict is
-    deterministic given the config's semantic fields; timings are not.
+    deterministic given the config's semantic fields; timings are not.  With
+    record_trials, each TrialRecord (timings included) goes to a
+    `<out stem>.trials.jsonl` sidecar, one line per trial.
     """
     cell_records = []
     cell_timings = []
+    trial_lines = []
     for idx, spec in enumerate(cfg.cells):
-        record, timing = _run_cell(spec, cfg, idx)
+        record, trials = _run_cell(spec, cfg, idx)
         cell_records.append(record)
-        cell_timings.append(timing)
+        cell_timings.append({
+            "cell_index": idx,
+            "batch1_s": [r.batch1_seconds for r in trials],
+            "batch2_s": [r.batch2_seconds for r in trials],
+        })
+        if cfg.record_trials:
+            trial_lines += [{**asdict(r), "cell_index": idx} for r in trials]
 
     results = {
         "format": RESULTS_FORMAT,
@@ -367,22 +322,12 @@ def run_experiment(cfg: ExperimentConfig, out_path=None):
     timings = {"format": TIMINGS_FORMAT, "cells": cell_timings}
 
     if out_path is not None:
-        with open(out_path, "w", encoding="ascii") as fh:
-            json.dump(results, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        with open(timings_path_for(out_path), "w", encoding="ascii") as fh:
-            json.dump(timings, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(out_path, results)
+        _write_json(timings_path_for(out_path), timings)
         if cfg.record_trials:
             with open(trials_path_for(out_path), "w", encoding="ascii") as fh:
-                for record, timing in zip(cell_records, cell_timings):
-                    for r in record.get("trial_records", []):
-                        line = dict(r)
-                        line["cell_index"] = record["cell_index"]
-                        t = r["trial"]
-                        line["batch1_seconds"] = timing["batch1_s"][t]
-                        line["batch2_seconds"] = timing["batch2_s"][t]
-                        fh.write(json.dumps(line, sort_keys=True) + "\n")
+                for line in trial_lines:
+                    fh.write(json.dumps(line, sort_keys=True) + "\n")
     return results, timings
 
 
@@ -424,64 +369,44 @@ def load_results(path) -> dict:
 
 
 def summarize(results: dict, timings: dict | None = None) -> list[dict]:
-    """One flat summary row per cell (the CSV rows, pre-formatting)."""
-    timing_by_cell = {}
-    if timings:
-        for t in timings.get("cells", []):
-            timing_by_cell[t.get("cell_index")] = t
+    """One flat summary row per cell (the CSV rows, pre-formatting).
+
+    A cell's spec and params are read through CellSpec and SchemeParams; a
+    cell they reject, or a completed cell without its counters, raises
+    MalformedResultFile.  Columns a cell cannot fill stay None.
+    """
+    timing_by_cell = {t.get("cell_index"): t for t in (timings or {}).get("cells", [])}
     rows = []
     for cell in results["cells"]:
+        row = dict.fromkeys(_CSV_COLUMNS)
         try:
-            spec = cell["spec"]
-            params = cell["params"]
-            row = {
-                "cell_index": cell["cell_index"],
-                "n": spec["n"], "k": spec["k"], "xi": spec["xi"],
-                "regime": spec["regime"], "kprime": spec["kprime"],
-            }
-        except (KeyError, TypeError) as exc:
-            raise MalformedResultFile(f"cell record malformed: {exc}") from exc
-        for name in ("w", "ell", "c1", "s_size", "t1", "t2"):
-            row[name] = params[name]
-        t_total = params["t1"] + params["t2"]
-        row["t_total"] = t_total
+            spec = CellSpec.from_json(cell["spec"])
+            params = SchemeParams.from_json(cell["params"], regime=spec.regime)
+            row.update(cell_index=cell["cell_index"], **spec.to_json())
+            if cell.get("completed"):
+                row.update(trials=cell["trials"], successes=cell["successes"],
+                           p_e=cell["p_e"], cond_both=cell.get("cond_both"),
+                           cond_violations=cell.get("cond_violations"))
+                fl = cell["failures"]
+                row.update({name.replace("-", "_"): fl.get(name, 0) for name in FAILURE_CLASSES})
+        except (BitmixError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedResultFile(f"cell record malformed: {exc!r}") from exc
+        for name in ("w", "ell", "c1", "s_size", "t1", "t2", "t_total"):
+            row[name] = getattr(params, name)
         row["t_identity_ok"] = (
-            t_total == params["c1"] * params["k"] * params["w"] * (params["ell"] + 1)
+            params.t_total == params.c1 * params.k * params.w * (params.ell + 1)
         )
-        if spec["regime"] == REGIME_GENERAL:
-            sp = derive_params(spec["n"], spec["k"], xi=spec["xi"], regime=spec["regime"])
-            bound = total_test_bound(sp)
+        if spec.regime == REGIME_GENERAL:
+            bound = total_test_bound(params)
             row["t_bound"] = round(bound, 3)
-            row["bound_ratio"] = round(t_total / bound, 6)
-        else:
-            row["t_bound"] = None
-            row["bound_ratio"] = None
-        if cell.get("completed"):
-            row["trials"] = cell["trials"]
-            row["successes"] = cell["successes"]
-            row["p_e"] = cell["p_e"]
-            fl = cell["failures"]
-            row["duplicate_assignment"] = fl.get("duplicate-assignment", 0)
-            row["string_miss"] = fl.get("string-miss", 0)
-            row["string_extra"] = fl.get("string-extra", 0)
-            row["code_failure"] = fl.get("code-failure", 0)
-            row["cond_both"] = cell.get("cond_both")
-            row["cond_violations"] = cell.get("cond_violations")
-        else:
-            for name in ("trials", "successes", "p_e", "duplicate_assignment",
-                         "string_miss", "string_extra", "code_failure",
-                         "cond_both", "cond_violations"):
-                row[name] = None
-        timing = timing_by_cell.get(cell["cell_index"])
+            row["bound_ratio"] = round(params.t_total / bound, 6)
+        timing = timing_by_cell.get(row["cell_index"])
         if timing and timing.get("batch1_s"):
             total_ms = 1e3 * (
                 np.asarray(timing["batch1_s"]) + np.asarray(timing["batch2_s"])
             )
             row["decode_ms_median"] = round(float(np.median(total_ms)), 6)
             row["decode_ms_p90"] = round(float(np.percentile(total_ms, 90)), 6)
-        else:
-            row["decode_ms_median"] = None
-            row["decode_ms_p90"] = None
         rows.append(row)
     return rows
 
@@ -516,8 +441,5 @@ def report(results_path, csv_path, cell_json_dir=None) -> str:
     if cell_json_dir is not None:
         os.makedirs(cell_json_dir, exist_ok=True)
         for cell in results["cells"]:
-            out = os.path.join(cell_json_dir, f"cell_{cell['cell_index']}.json")
-            with open(out, "w", encoding="ascii") as fh:
-                json.dump(cell, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+            _write_json(os.path.join(cell_json_dir, f"cell_{cell['cell_index']}.json"), cell)
     return text

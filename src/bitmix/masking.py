@@ -28,7 +28,8 @@ with denominator |S|-1), so the certificate cannot drift with float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,6 @@ class MaskingSet:
     params: SchemeParams
     seed: int
     status: str = STATUS_UNVERIFIED
-    _flat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.int32)
@@ -118,13 +118,11 @@ class MaskingSet:
             raise IndexOutOfRange(f"string index {i} outside [0, {len(self)})")
         return MaskingString(self.offsets[i].astype(np.int64), self.params.segment_len)
 
-    @property
+    @cached_property
     def flat_positions(self) -> np.ndarray:
         """(s_size, w) global bit positions of each string's 1s (cached)."""
-        if self._flat is None:
-            seg = np.arange(self.params.w, dtype=np.int64) * self.params.segment_len
-            self._flat = self.offsets.astype(np.int64) + seg[None, :]
-        return self._flat
+        seg = np.arange(self.params.w, dtype=np.int64) * self.params.segment_len
+        return self.offsets.astype(np.int64) + seg[None, :]
 
     def usage(self, strings) -> np.ndarray:
         """(t1,) how many of the given strings (repeats counted) have a 1 at each position."""
@@ -308,14 +306,15 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
     return VerifyReport(passed, stats, first, generalized)
 
 
-def build_lcs(params: SchemeParams, seed: int, max_attempts: int = 16) -> MaskingSet:
-    """Draw candidates until one passes verify_promising.
+def build_lcs(params: SchemeParams, seed: int, max_attempts: int | None = None) -> MaskingSet:
+    """Draw up to max_attempts (default 16) candidates until one passes verify_promising.
 
     Raises ConstructionFailed when the budget runs out — which, at desk-scale
     parameters, is the expected outcome: the certificate's constants only
     become satisfiable at very large k.  Callers that just need a design (not
     a certificate) should use construct_candidate directly.
     """
+    max_attempts = 16 if max_attempts is None else max_attempts
     last = None
     for attempt in range(max_attempts):
         cand = construct_candidate(params, derive_seed(seed, attempt))
@@ -338,12 +337,16 @@ def smallk_pairs_ok(mset: MaskingSet) -> bool:
     return bool((c <= mset.params.w // (2 * mset.params.k)).all())
 
 
-def build_smallk_set(params: SchemeParams, seed: int, max_attempts: int = 1000) -> MaskingSet:
+def build_smallk_set(
+    params: SchemeParams, seed: int, max_attempts: int | None = None
+) -> MaskingSet:
     """Rejection-sample a set whose every pair collides <= w/(2k) times.
 
     Acceptance per attempt is a few percent at typical very-sparse parameters,
-    hence the generous default budget; each attempt costs only O(|S|^2 w).
+    hence the generous default budget of 1000 attempts; each attempt costs
+    only O(|S|^2 w).
     """
+    max_attempts = 1000 if max_attempts is None else max_attempts
     for attempt in range(max_attempts):
         cand = construct_candidate(params, derive_seed(seed, attempt))
         if smallk_pairs_ok(cand):

@@ -21,8 +21,9 @@ the code enough errors-and-erasures slack.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+import numbers
 
 from .errors import InvalidInput
 
@@ -34,11 +35,46 @@ _SMALLK_MAX_K = 8
 _NOISY_MARGIN = 0.05
 _MAX_C1 = 64
 
-# Serialized field names are a compatibility contract; do not rename.
-_JSON_FIELDS = ("n", "k", "delta", "w", "ell", "c1", "s_size", "t1", "t2", "xi")
+
+def checked_integer(name: str, value, low=None) -> int:
+    """value as an int; bools, floats and strings raise InvalidInput."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if low is None or value >= low:
+            return int(value)
+    raise InvalidInput(f"{name} must be an integer{'' if low is None else f' >= {low}'}, "
+                       f"got {value!r}")
 
 
-@dataclass(frozen=True)
+def checked_real(name: str, value) -> float:
+    """value as a float; bools and strings raise InvalidInput."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidInput(f"{name} must be a number, got {value!r}")
+
+
+def from_json_object(cls, obj, what: str, **given):
+    """cls(**obj, **given), where obj is a JSON object keyed by cls's fields.
+
+    The fields without a default must be present, and a key that names no
+    field (or one passed in given) raises InvalidInput; cls.__post_init__
+    checks the values.
+    """
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    required = [f.name for f in fields
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    need = f"{', '.join(required[:-1])} and {required[-1]}" if len(required) > 1 else required[0]
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"{what} needs {need}, got {obj!r}")
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise InvalidInput(f"{what} needs {need}, missing {missing}")
+    unknown = sorted(obj.keys() - {f.name for f in fields})
+    if unknown:
+        raise InvalidInput(f"{what} has unknown keys {unknown}")
+    return cls(**obj, **given)
+
+
+@dataclasses.dataclass(frozen=True)
 class SchemeParams:
     """All derived scalars for one (n, k, xi, regime) cell."""
 
@@ -55,6 +91,12 @@ class SchemeParams:
     regime: str = REGIME_GENERAL
 
     def __post_init__(self):
+        # The annotations are strings here (from __future__ import annotations).
+        for f in dataclasses.fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, checked_integer(f.name, getattr(self, f.name)))
+            elif f.type == "float":
+                object.__setattr__(self, f.name, checked_real(f.name, getattr(self, f.name)))
         if self.regime not in REGIMES:
             raise InvalidInput(f"unknown regime {self.regime!r}")
         if not (1 <= self.k <= self.n):
@@ -96,19 +138,17 @@ class SchemeParams:
         return self.t1 + self.t2
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _JSON_FIELDS}
+        """The fields but regime, which the design and results files keep apart.
+
+        The field names are a compatibility contract; do not rename.
+        """
+        obj = dataclasses.asdict(self)
+        del obj["regime"]
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict, regime: str = REGIME_GENERAL) -> "SchemeParams":
-        missing = [f for f in _JSON_FIELDS if f not in obj]
-        if missing:
-            raise InvalidInput(f"params object missing fields: {missing}")
-        kwargs = {name: obj[name] for name in _JSON_FIELDS}
-        for name in ("n", "k", "w", "ell", "c1", "s_size", "t1", "t2"):
-            kwargs[name] = int(kwargs[name])
-        kwargs["delta"] = float(kwargs["delta"])
-        kwargs["xi"] = float(kwargs["xi"])
-        return cls(regime=regime, **kwargs)
+        return from_json_object(cls, obj, "a params object", regime=regime)
 
 
 def _log2_int(n: int) -> float:
@@ -136,12 +176,13 @@ def derive_params(
 ) -> SchemeParams:
     """Derive a self-consistent SchemeParams from the primitive inputs.
 
-    Raises InvalidInput when k > n, xi lies outside [0, 1/2), k=1 is requested
+    Raises InvalidInput when n or k is not an integer (bools included), xi is
+    not a number, k > n, xi lies outside [0, 1/2), k=1 is requested
     in the general regime (delta is undefined there; use smallk), k > 8 is
     requested in the smallk regime, or no c1 <= 64 meets the noisy margin.
     """
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise InvalidInput("n and k must be integers")
+    n, k = checked_integer("n", n), checked_integer("k", k)
+    xi = checked_real("xi", xi)
     if n < 1 or k < 1 or k > n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
     if not (0.0 <= xi < 0.5):

@@ -146,6 +146,14 @@ def test_run_rejects_a_bad_kprime(tmp_path, capsys):
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert f"error: {name}" in capsys.readouterr().err
+    # a misspelt config or cell key is refused, not run with its default
+    cell = {"n": 4096, "k": 2, "regime": "smallk"}
+    for cfg in ({"cells": [cell], "trials": 1, "seed": 0, "verfiy": False},
+                {"cells": [{**cell, "kprim": 1}], "trials": 1, "seed": 0}):
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from bitmix.bundle import build_design
+from bitmix.cli import main
 from bitmix.errors import InvalidInput, MalformedResultFile
 from bitmix.harness import (
     CellSpec,
@@ -51,6 +53,10 @@ def test_cellspec_validation():
     for bad in ([4096, 2], {"n": 2**12}, "cell"):
         with pytest.raises(InvalidInput, match="needs n and k"):
             CellSpec.from_json(bad)
+    # a misspelt key is an error, not a default
+    for typo in ("kprim", "regim", "Xi"):
+        with pytest.raises(InvalidInput, match=f"unknown keys \\['{typo}'\\]"):
+            CellSpec.from_json({**base, typo: 1})
 
 
 def test_cellspec_json_round_trip():
@@ -87,6 +93,12 @@ def test_config_validation_and_semantics():
             ExperimentConfig.from_json({**base, name: bad})
     with pytest.raises(InvalidInput, match="cells must be a list"):
         ExperimentConfig.from_json({**base, "cells": cell.to_json()})
+    # a misspelt key is an error, not a default
+    for typo in ("verfiy", "thread", "record_trial", "max_attempt", "cell"):
+        with pytest.raises(InvalidInput, match=f"unknown keys \\['{typo}'\\]"):
+            ExperimentConfig.from_json({**base, typo: False})
+    with pytest.raises(InvalidInput, match="unknown keys"):
+        ExperimentConfig.from_json({**base, "cells": [{**cell.to_json(), "kprim": 1}]})
     for missing in ("cells", "trials", "seed"):
         with pytest.raises(InvalidInput, match="needs cells, trials and seed"):
             ExperimentConfig.from_json({k: v for k, v in base.items() if k != missing})
@@ -182,20 +194,29 @@ def test_persisted_files_and_trial_records(tmp_path):
     cfg = ExperimentConfig(
         cells=[_smallk_cell()], trials=15, seed=4, record_trials=True
     )
-    results, _ = run_experiment(cfg, out_path=out)
+    results, timings = run_experiment(cfg, out_path=out)
     assert os.path.exists(out)
     assert os.path.exists(timings_path_for(out))
     assert os.path.exists(trials_path_for(out))
 
     back = load_results(out)
     assert json.dumps(back, sort_keys=True) == json.dumps(results, sort_keys=True)
+    # recording trials changes no byte of the results
+    plain, _ = run_experiment(ExperimentConfig(cells=[_smallk_cell()], trials=15, seed=4))
+    assert json.dumps(plain, sort_keys=True) == json.dumps(results, sort_keys=True)
 
     lines = [json.loads(l) for l in open(trials_path_for(out))]
     assert len(lines) == 15
     assert {l["trial"] for l in lines} == set(range(15))
     for l in lines:
+        assert set(l) == {
+            "cell_index", "trial", "seed", "kprime", "cond1", "cond2_all", "list_size",
+            "estimate_size", "success", "failure", "string_failures",
+            "batch1_seconds", "batch2_seconds",
+        }
         assert l["cell_index"] == 0
-        assert "batch1_seconds" in l and "batch2_seconds" in l
+        assert l["batch1_seconds"] == timings["cells"][0]["batch1_s"][l["trial"]]
+        assert l["batch2_seconds"] == timings["cells"][0]["batch2_s"][l["trial"]]
         assert l["failure"] == "none" or not l["success"]
 
 
@@ -211,9 +232,28 @@ def test_load_results_errors(tmp_path):
         load_results(bad)
 
 
-def test_summarize_requires_sane_cells():
+def test_summarize_requires_sane_cells(tmp_path, capsys):
     with pytest.raises(MalformedResultFile):
         summarize({"cells": [{"cell_index": 0}]})
+    with open(os.path.join(DATA, "golden_results.json")) as fh:
+        golden = json.load(fh)
+    breaks = [
+        lambda cell: cell["params"].pop("w"),
+        lambda cell: cell.update(params=list(cell["params"].values())),
+        lambda cell: cell.pop("failures"),
+        lambda cell: cell["params"].update(w=259.5),
+        lambda cell: cell["spec"].update(kprim=1),
+    ]
+    for i, spoil in enumerate(breaks):
+        results = copy.deepcopy(golden)
+        spoil(results["cells"][1])
+        with pytest.raises(MalformedResultFile, match="cell record malformed"):
+            summarize(results)
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(results))
+        rc = main(["report", "--results", str(path), "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert "error: cell record malformed" in capsys.readouterr().err
 
 
 def test_summarize_without_timings():

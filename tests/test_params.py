@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,6 +97,16 @@ def test_invalid_inputs():
         derive_params(2**16, 5, regime="bogus")
     with pytest.raises(InvalidInput):
         derive_params(0, 0)
+    # the same integer check as a harness cell: numpy integers pass, bools do not
+    with pytest.raises(InvalidInput, match="^k must"):
+        derive_params(2**16, True, regime=REGIME_SMALLK)
+    with pytest.raises(InvalidInput, match="^n must"):
+        derive_params(4096.0, 2)
+    with pytest.raises(InvalidInput, match="^xi must"):
+        derive_params(2**16, 5, xi="0.05")
+    p = derive_params(np.int64(4096), np.int64(2), regime=REGIME_SMALLK)
+    assert p == derive_params(4096, 2, regime=REGIME_SMALLK)
+    assert type(p.n) is int and type(p.k) is int
 
 
 def test_noisy_c1_rule():
@@ -144,6 +155,17 @@ def test_params_validation_catches_inconsistency():
     obj["t2"] += 1
     with pytest.raises(InvalidInput):
         SchemeParams.from_json(obj)
+    # fields are checked, never coerced; unknown keys are refused
+    obj = derive_params(2**20, 10).to_json()
+    for name, bad in [("w", 381.9), ("w", "381"), ("w", True), ("t1", 15240.0),
+                      ("delta", "0.043"), ("xi", None), ("xi", False)]:
+        with pytest.raises(InvalidInput, match=f"^{name} must"):
+            SchemeParams.from_json({**obj, name: bad})
+    for extra in ("regime", "m", "W"):
+        with pytest.raises(InvalidInput, match="unknown keys"):
+            SchemeParams.from_json({**obj, extra: 1})
+    with pytest.raises(InvalidInput, match="needs"):
+        SchemeParams.from_json(list(obj.values()))
 
 
 def test_bound_ratios():
