@@ -19,14 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import Codebook
-from .errors import CorruptDesignFile
+from .errors import CorruptDesignFile, InvalidInput
 from .masking import (
     MaskingSet,
     build_lcs,
     build_smallk_set,
     construct_candidate,
 )
-from .params import REGIME_GENERAL, REGIME_SMALLK, SchemeParams, derive_params
+from .params import (
+    REGIME_GENERAL,
+    REGIME_SMALLK,
+    SchemeParams,
+    checked_integer,
+    derive_params,
+)
 from .scheme import Assignment
 from .seeding import derive_seed
 
@@ -125,7 +131,8 @@ def _masking_set_from_payload(payload, origin) -> MaskingSet:
         raw = base64.b64decode(payload["offsets"].encode("ascii"), validate=True)
         offsets = np.frombuffer(raw, dtype=dtype).astype(np.int32)
         offsets = offsets.reshape(params.s_size, params.w)
-        return MaskingSet(offsets, params, int(payload["seed"]), payload["status"])
+        seed = checked_integer("seed", payload["seed"])
+        return MaskingSet(offsets, params, seed, payload["status"])
     except Exception as exc:
         raise CorruptDesignFile(f"{origin}: inconsistent content ({exc})") from exc
 
@@ -165,7 +172,11 @@ def load_design(path: str | os.PathLike) -> DesignBundle:
     cb = payload.get("codebook", {})
     if (cb.get("w"), cb.get("ell")) != (mset.params.w, mset.params.ell):
         raise CorruptDesignFile(f"{path}: codebook shape disagrees with params")
-    bundle = DesignBundle(mset, int(payload["assignment_seed"]))
+    try:
+        seed = checked_integer("assignment_seed", payload.get("assignment_seed"))
+    except InvalidInput as exc:
+        raise CorruptDesignFile(f"{path}: {exc}") from exc
+    bundle = DesignBundle(mset, seed)
     if cb.get("m") != bundle.codebook.m:
         raise CorruptDesignFile(f"{path}: codebook message length disagrees with n")
     return bundle

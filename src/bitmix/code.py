@@ -10,9 +10,10 @@ is w - m + 1, so any f <= w - m erasures are correctable, and any (e, f) with
 one pass of array operations, in two stages:
   1. candidates: each row's first T disjoint m-tuples of unerased positions
      (T = _TUPLES when noisy, 1 when noiseless) give T messages, by one
-     batched m x m Vandermonde solve and one re-encode.  A row keeps the
-     first message whose codeword passes the check below.  This is the
-     whole noiseless decode.
+     batched Lagrange interpolation through the m points of each tuple
+     (`GF2m.interpolate`, closed form, no elimination) and one re-encode.
+     A row keeps the first message whose codeword passes the check below.
+     This is the whole noiseless decode.
   2. errata, for the noisy rows that no tuple fits:
      a. syndromes of each row, as one GF matrix product with the parity
         checks;
@@ -21,11 +22,11 @@ one pass of array operations, in two stages:
         its own step f, its erasure count;
      c. a Chien search over the w points finds the roots of each row's
         errata locator, and the errors found join the erasures;
-     d. the same solve and check, on the first m positions outside the
-        errata.
+     d. the same interpolation and check, on the first m positions outside
+        the errata.
 Point 0 is no locator root, so 2a-2c work on the translated points
 b_j = j ^ w, all nonzero because w < q.  Translation maps the code onto
-itself, and 2d solves on the original points.
+itself, and 2d interpolates on the original points.
 
 Any m symbols of a codeword determine it, and a codeword within 2e + f <=
 w - m of a word is the only one there, because the minimum distance is
@@ -149,9 +150,9 @@ class Codebook:
         the messages through a row's first _TUPLES disjoint m-tuples of
         unerased positions (one tuple when noiseless).  Noisy rows that no
         tuple fits go through syndromes, Berlekamp-Massey and a Chien search,
-        then the same solve and check.  A codeword that passes the noisy
-        check is the only one within the radius, so the outcome is that of
-        bounded-distance decoding whichever stage finds it.
+        then the same interpolation and check.  A codeword that passes the
+        noisy check is the only one within the radius, so the outcome is that
+        of bounded-distance decoding whichever stage finds it.
         """
         words = _as_words(words, self.w, self.q)
         radius = self.w - self.m
@@ -185,7 +186,7 @@ class Codebook:
             sub = received[left], erased[left], n_erased[left]
             errata = sub[1] | self._locate_errors(*sub)
             # The first m positions outside the errata.  A word beyond the
-            # radius may have fewer, so the solve reads errata too.
+            # radius may have fewer, so the interpolation reads errata too.
             keep = np.argsort(errata, axis=1, kind="stable")[:, None, : self.m]
             fitted, passed = self._fit(*sub, keep, noisy)
             msg[left], ok[left] = fitted[:, 0], passed[:, 0]
@@ -206,12 +207,16 @@ class Codebook:
     def _fit(self, received, erased, n_erased, keep, noisy: bool):
         """Messages through the m-tuples of positions keep[r, t], and their check.
 
+        Both decoder stages call this.  The messages come from
+        `GF2m.interpolate` on the tuples' points (distinct, since each tuple
+        holds distinct positions), with no Gaussian elimination: they are
+        the solutions of the Vandermonde systems vand[keep] msg = received.
         Returns (msg, ok) of shapes (R, T, m) and (R, T): ok when the
         message's codeword disagrees with row r at no unerased symbol
         (noiseless), or at e of them with 2e + f <= w - m (noisy).
         """
         field, (n_rows, tuples, m) = self.field, keep.shape
-        msg = field.solve(self._vand[keep], received[np.arange(n_rows)[:, None, None], keep])
+        msg = field.interpolate(self.points[keep], received[np.arange(n_rows)[:, None, None], keep])
         wrong = np.empty((n_rows, tuples), dtype=np.int64)
         step = max(1, _BLOCK // (tuples * self.w))
         for lo in range(0, n_rows, step):

@@ -8,7 +8,10 @@ numpy arrays and are pure.
 The log of 0 is a sentinel that lands every product with a zero factor in an
 all-zero tail of the antilog table, so a product of two elements is one
 gather, exp[log a + log b], with no zero masks.  The array kernels (matmul,
-batched solve) are built on that gather.
+batched interpolation and solve) are built on that gather.  The decoder
+finds messages with `interpolate`, which is closed-form Lagrange
+interpolation; `solve`, a pivoting Gaussian elimination, is its reference
+in the tests.
 """
 
 from __future__ import annotations
@@ -116,6 +119,40 @@ class GF2m:
             products = self._exp[log_a[lo : lo + step, :, None] + log_b]
             out[lo : lo + step] = np.bitwise_xor.reduce(products, axis=1)
         return out
+
+    def interpolate(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Coefficients of the polynomials through (points, values), batched.
+
+        `points` and `values` have shape (..., m); the result c has shape
+        (..., m) with sum_j c[..., j] x^j = values[..., i] at x = points[..., i],
+        the solution of the Vandermonde system vandermonde(points, m) c =
+        values.  Lagrange in log form: c = sum_i values_i / d_i * N_i(x), with
+        N_i = prod_{j != i} (x + x_j) and d_i = N_i(x_i).  The log d_i are one
+        gather and sum of the logs of the point differences, the N_i take m - 1
+        shift-and-multiply steps, and c is one gather and XOR-reduce.  Raises
+        np.linalg.LinAlgError if a batch repeats a point (the system is
+        singular).
+        """
+        points = np.asarray(points, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        m, order = points.shape[-1], self.q - 1
+        # others[..., i, :] lists the m - 1 points x_j, j != i.
+        skip = np.arange(m - 1)
+        others = points[..., skip + (skip >= np.arange(m)[:, None])]
+        diffs = points[..., None] ^ others
+        if np.any(diffs == 0):
+            raise np.linalg.LinAlgError("repeated interpolation points over GF(2^ell)")
+        log_d = self._log[diffs].sum(axis=-1)
+        # log(values_i / d_i), or the zero sentinel when values_i is 0.
+        log_w = np.where(values == 0, 2 * order, (self._log[values] - log_d) % order)
+        # N_i highest degree first: multiplying by (x + a) adds a times the
+        # coefficients one place up.
+        numer = np.zeros(points.shape + (m,), dtype=np.int64)
+        numer[..., 0] = 1
+        for j in range(m - 1):
+            numer[..., 1 : j + 2] ^= self.mul(numer[..., : j + 1], others[..., j : j + 1])
+        terms = self._exp[log_w[..., None] + self._log[numer[..., ::-1]]]
+        return np.bitwise_xor.reduce(terms, axis=-2).astype(np.int64)
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve A x = b by Gaussian elimination, batched over leading axes.

@@ -368,14 +368,33 @@ def load_results(path) -> dict:
     return obj
 
 
+def _decode_seconds(timing: dict) -> np.ndarray:
+    """Per-trial decode seconds of a timings-sidecar cell: batch 1 plus batch 2."""
+    try:
+        batch1 = np.asarray(timing["batch1_s"], dtype=float)
+        batch2 = np.asarray(timing["batch2_s"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedResultFile(f"timings cell malformed: {exc!r}") from exc
+    if batch1.ndim != 1 or batch1.shape != batch2.shape:
+        raise MalformedResultFile(
+            f"timings cell malformed: batch1_s and batch2_s are not lists of "
+            f"one length ({batch1.shape} vs {batch2.shape})"
+        )
+    return batch1 + batch2
+
+
 def summarize(results: dict, timings: dict | None = None) -> list[dict]:
     """One flat summary row per cell (the CSV rows, pre-formatting).
 
     A cell's spec and params are read through CellSpec and SchemeParams; a
-    cell they reject, or a completed cell without its counters, raises
+    cell they reject, a completed cell without its counters, or a timings
+    cell without equally long batch1_s and batch2_s lists, raises
     MalformedResultFile.  Columns a cell cannot fill stay None.
     """
-    timing_by_cell = {t.get("cell_index"): t for t in (timings or {}).get("cells", [])}
+    try:
+        timing_by_cell = {t.get("cell_index"): t for t in (timings or {}).get("cells", [])}
+    except (TypeError, AttributeError) as exc:
+        raise MalformedResultFile(f"timings malformed: {exc!r}") from exc
     rows = []
     for cell in results["cells"]:
         row = dict.fromkeys(_CSV_COLUMNS)
@@ -402,9 +421,7 @@ def summarize(results: dict, timings: dict | None = None) -> list[dict]:
             row["bound_ratio"] = round(params.t_total / bound, 6)
         timing = timing_by_cell.get(row["cell_index"])
         if timing and timing.get("batch1_s"):
-            total_ms = 1e3 * (
-                np.asarray(timing["batch1_s"]) + np.asarray(timing["batch2_s"])
-            )
+            total_ms = 1e3 * _decode_seconds(timing)
             row["decode_ms_median"] = round(float(np.median(total_ms)), 6)
             row["decode_ms_p90"] = round(float(np.percentile(total_ms, 90)), 6)
         rows.append(row)

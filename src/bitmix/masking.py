@@ -22,6 +22,14 @@ set-quality notions are statistics of pairwise collision counts:
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
   w/(2k) times.
 
+Batch-1 decoding lists the strings whose score reaches a threshold
+(`MaskingSet.reaching`), reading segments in passes and dropping a string
+once its unread segments cannot lift it there.  The first pass ends a few
+segments past the first point at which any string can drop, and each later
+pass reads about 16 |S| positions over the strings still alive.  On a
+noiseless outcome that costs about 4 |S| reads, plus w per string that
+outlives the first pass, not |S| w.
+
 All verification arithmetic is exact (scaled integers; the means are rationals
 with denominator |S|-1), so the certificate cannot drift with float rounding.
 """
@@ -47,7 +55,11 @@ STATUS_PROMISING = "promising"
 STATUS_SMALLK = "smallk_verified"
 _STATUSES = (STATUS_UNVERIFIED, STATUS_PROMISING, STATUS_SMALLK)
 
-# Segments read per pass of MaskingSet.reaching.
+# MaskingSet.reaching: segments its first pass reads past the first point at
+# which a string can drop out, positions per string of the set that each later
+# pass reads, and the fewest segments a later pass reads.
+_FIRST = 4
+_READS = 16
 _SCAN = 32
 
 # Strings whose collision pairs pairwise_collisions counts in one bincount.
@@ -138,21 +150,25 @@ class MaskingSet:
         The same set as nonzero(scores(vec) >= threshold), but read segment
         by segment: a string drops out once its unread positions can no
         longer lift it to the threshold.  No string can drop out before
-        w - threshold / max(vec) segments are read, so the first pass reads
-        those and _SCAN more; later passes read _SCAN each.  A noiseless
-        outcome then costs about |S| * _SCAN reads, not |S| * w.
+        w - threshold // max(vec) segments are read, so the first pass reads
+        those and _FIRST more.  Each later pass reads about _READS * |S|
+        positions spread over the strings still alive, and never fewer than
+        _SCAN segments, so it grows as strings drop out; the scan stops when
+        none is left.  A noiseless outcome, where almost every string drops
+        out in the first pass, then costs about |S| * _FIRST reads plus w
+        for each string that survives it, not |S| * w.
         """
         flat, w = self.flat_positions, self.params.w
         cap = max(1, int(np.max(vec, initial=0)))
         alive = np.arange(len(self))
         score = np.zeros(len(self), dtype=np.int64)
-        lo, hi = 0, max(0, w - threshold // cap) + _SCAN
-        while lo < w:
+        lo, hi = 0, max(0, w - threshold // cap) + _FIRST
+        while lo < w and alive.size:
             hi = min(hi, w)
             score += vec[flat[alive, lo:hi]].sum(axis=1, dtype=np.int64)
             keep = score + cap * (w - hi) >= threshold
             alive, score = alive[keep], score[keep]
-            lo, hi = hi, hi + _SCAN
+            lo, hi = hi, hi + max(_SCAN, _READS * len(self) // max(1, alive.size))
         return alive
 
 

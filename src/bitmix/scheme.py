@@ -11,8 +11,11 @@ noiseless, ceil((2w/c1 + w)/2) under noise), and each surviving string reads
 its w symbols out of batch 2, erasing positions where another surviving
 string also has a 1.  The |L| words then go through one batched decode:
 erasures only when noiseless, errors and erasures under noise.  Work is at
-most O(|S| w) for batch 1, plus about O(|L| T m w) for the candidate stage
-of `Codebook.decode_words` (T = 1 noiseless, 32 under noise), plus
+most O(|S| w) for batch 1, and about O(|S| + |L| w) on a noiseless outcome,
+where almost every string drops out after a few segments
+(`MaskingSet.reaching`); plus about O(|L| T m w) for the candidate stage
+of `Codebook.decode_words` (T = 1 noiseless, 32 under noise: one Lagrange
+interpolation and one re-encode per m-tuple), plus
 O(|L'| w^2) for the |L'| noisy words that no candidate fits (syndromes,
 Berlekamp-Massey, Chien search) - no term depends on n except through w
 and m.

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +104,44 @@ def test_solve_singular_raises():
     vand = gf.vandermonde(np.array([3, 3]), 2)  # repeated evaluation point
     with pytest.raises(np.linalg.LinAlgError):
         gf.solve(vand, np.array([1, 2]))
+    # interpolate raises the same on repeated points, also on one batch of many
+    with pytest.raises(np.linalg.LinAlgError):
+        gf.interpolate(np.array([3, 3]), np.array([1, 2]))
+    points = np.array([[[1, 2, 4], [5, 0, 5]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        gf.interpolate(points, np.ones_like(points))
+
+
+def test_interpolate_matches_solve_exhaustively_gf8():
+    # every ordered choice of m distinct points and every value tuple
+    gf = GF2m(3)
+    for m in (1, 2, 3):
+        values = np.array(list(itertools.product(range(8), repeat=m)))
+        for points in itertools.permutations(range(8), m):
+            vand = np.broadcast_to(gf.vandermonde(np.array(points), m), (len(values), m, m))
+            got = gf.interpolate(np.broadcast_to(points, values.shape), values)
+            assert np.array_equal(got, gf.solve(vand, values))
+
+
+def test_interpolate_batched_with_zeros():
+    # (R, T, m) batches at ell = 9, with point 0 and zero values in them
+    gf = GF2m(9)
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3, 5):
+        shape = (6, 4, m)
+        points = 1 + np.argsort(rng.random((6, 4, 511)), axis=-1)[..., :m]
+        points[0, :, 0] = 0
+        values = rng.integers(0, 512, size=shape)
+        values[rng.random(shape) < 0.3] = 0
+        values[2] = 0
+        got = gf.interpolate(points, values)
+        assert got.shape == shape
+        vand = np.stack([gf.vandermonde(p, m) for p in points.reshape(-1, m)])
+        assert np.array_equal(got, gf.solve(vand.reshape(shape + (m,)), values))
+        # the polynomials pass through the points
+        for p, v, c in zip(points.reshape(-1, m), values.reshape(-1, m), got.reshape(-1, m)):
+            assert np.array_equal(gf.matmul(gf.vandermonde(p, m), c[:, None])[:, 0], v)
+    assert np.array_equal(gf.interpolate([3, 7], [5, 5]), [5, 0])  # a constant
 
 
 def test_array_kernels_match_scalar_mul():

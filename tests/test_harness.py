@@ -254,6 +254,29 @@ def test_summarize_requires_sane_cells(tmp_path, capsys):
         rc = main(["report", "--results", str(path), "--out", str(tmp_path / "s.csv")])
         assert rc == 1
         assert "error: cell record malformed" in capsys.readouterr().err
+    with open(os.path.join(DATA, "golden_results.timings.json")) as fh:
+        golden_timings = json.load(fh)
+    timing_breaks = [
+        lambda cell: cell.pop("batch2_s"),
+        lambda cell: cell["batch2_s"].pop(),
+        lambda cell: cell.update(batch2_s="slow"),
+        lambda cell: cell.update(batch2_s=0.5),
+    ]
+    for i, spoil in enumerate(timing_breaks):
+        timings = copy.deepcopy(golden_timings)
+        spoil(timings["cells"][1])
+        with pytest.raises(MalformedResultFile, match="timings cell malformed"):
+            summarize(golden, timings)
+        path = tmp_path / f"timed{i}.json"
+        path.write_text(json.dumps(golden))
+        with open(timings_path_for(str(path)), "w") as fh:
+            json.dump(timings, fh)
+        rc = main(["report", "--results", str(path), "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert "error: timings cell malformed" in capsys.readouterr().err
+    for timings in ({"cells": [7]}, {"cells": 7}, [1]):
+        with pytest.raises(MalformedResultFile, match="timings malformed"):
+            summarize(golden, timings)
 
 
 def test_summarize_without_timings():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bitmix.bundle import build_design, load_design, save_design
+from bitmix.bundle import _sha256, build_design, load_design, save_design
 from bitmix.errors import CorruptDesignFile, TooLarge
 from bitmix.oracle import dense_outcomes, exhaustive_decode, materialize
 from bitmix.params import REGIME_SMALLK
@@ -146,11 +146,30 @@ def test_bundle_load_detects_tamper(tmp_path):
     b = build_design(2**16, 2, regime=REGIME_SMALLK, seed=4)
     path = tmp_path / "design.json"
     save_design(b, path)
-    payload = json.loads(path.read_text())
+    saved = path.read_text()
+    payload = json.loads(saved)
     payload["assignment_seed"] = 12345
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptDesignFile, match="hash"):
         load_design(path)
+    # re-hashed edits: the seeds must be JSON integers, and present
+    spoils = [
+        lambda p: p.update(assignment_seed="7"),
+        lambda p: p.update(assignment_seed=7.0),
+        lambda p: p.update(assignment_seed=True),
+        lambda p: p.pop("assignment_seed"),
+        lambda p: p["masking"].update(seed="3"),
+        lambda p: p["masking"].update(seed=3.5),
+        lambda p: p["masking"].pop("seed"),
+    ]
+    for spoil in spoils:
+        payload = json.loads(saved)
+        del payload["sha256"]
+        spoil(payload)
+        payload["sha256"] = _sha256(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptDesignFile, match="seed"):
+            load_design(path)
 
 
 def test_bundle_load_rejects_wrong_format(tmp_path):

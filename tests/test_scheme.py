@@ -151,14 +151,37 @@ def test_identify_strings_threshold_monotone():
 
 def test_identify_strings_matches_full_scores():
     # the early-exit scan lists exactly the strings whose full score reaches
-    # the threshold, for sparse and dense vectors and counts above 1
-    p, mset, cb, asg = _design(2**16, 5)
+    # the threshold: for sparse, dense, all-zero and all-one vectors and
+    # counts above 1; for noiseless outcomes in which no string, or only the
+    # true strings, outlive the first pass; and for thresholds that put the
+    # first point where a string can drop out, w - threshold // max(vec),
+    # on either side of each pass boundary
     rng = np.random.default_rng(4)
-    for density in (0.05, 0.3, 0.9):
-        for top in (1, 3):
-            vec = (rng.random(p.t1) < density) * rng.integers(1, top + 1, size=p.t1)
+    for n, k in ((2**16, 5), (2**20, 20)):
+        p, mset, cb, asg = _design(n, k)
+        w = p.w
+        vecs = [np.zeros(p.t1, dtype=np.int64), np.ones(p.t1, dtype=np.int64)]
+        for density in (0.05, 0.3, 0.9):
+            for top in (1, 3):
+                vecs.append((rng.random(p.t1) < density) * rng.integers(1, top + 1, size=p.t1))
+        first_pass = {"none": 0, "true only": 0}
+        for size in [0] + list(rng.integers(1, k + 1, size=19)):
+            items = rng.choice(np.arange(1, 5000), size=int(size), replace=False)
+            y1, _ = simulate_outcomes(items, asg, mset, cb)
+            head = mset.flat_positions[:, :4]  # the first pass at threshold w
+            outlive = np.nonzero(y1.bits[head].all(axis=1))[0]
+            if outlive.size == 0:
+                first_pass["none"] += 1
+            elif np.array_equal(outlive, np.unique(asg.index_of(items))):
+                first_pass["true only"] += 1
+            vecs.append(y1.bits)
+        assert min(first_pass.values()) > 0
+        for vec in vecs:
             scores = mset.scores(vec)
-            for thr in (-1, 0, 1, 40, p.w // 2, p.w - 1, p.w, p.w + 1, 2 * p.w):
+            cap = max(1, int(vec.max()))
+            edges = [cap * (w - h) + d
+                     for h in (0, 1, 3, 4, 5, 36, 37, w - 1, w) for d in (-1, 0, 1)]
+            for thr in [-1, 0, 1, 40, w // 2, w - 1, w, w + 1, 2 * w] + edges:
                 want = np.nonzero(scores >= thr)[0]
                 assert np.array_equal(mset.reaching(vec, thr), want)
 
