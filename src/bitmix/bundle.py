@@ -169,7 +169,9 @@ def load_design(path: str | os.PathLike) -> DesignBundle:
     if recorded != _sha256(payload):
         raise CorruptDesignFile(f"{path}: content hash mismatch")
     mset = _masking_set_from_payload(payload.get("masking"), path)
-    cb = payload.get("codebook", {})
+    cb = payload.get("codebook")
+    if not isinstance(cb, dict):
+        raise CorruptDesignFile(f"{path}: no codebook object in the design")
     if (cb.get("w"), cb.get("ell")) != (mset.params.w, mset.params.ell):
         raise CorruptDesignFile(f"{path}: codebook shape disagrees with params")
     try:

@@ -152,7 +152,8 @@ def test_bundle_load_detects_tamper(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptDesignFile, match="hash"):
         load_design(path)
-    # re-hashed edits: the seeds must be JSON integers, and present
+    # re-hashed edits: the seeds must be JSON integers and the codebook an
+    # object, all present
     spoils = [
         lambda p: p.update(assignment_seed="7"),
         lambda p: p.update(assignment_seed=7.0),
@@ -161,6 +162,8 @@ def test_bundle_load_detects_tamper(tmp_path):
         lambda p: p["masking"].update(seed="3"),
         lambda p: p["masking"].update(seed=3.5),
         lambda p: p["masking"].pop("seed"),
+        lambda p: p.update(codebook=[]),
+        lambda p: p.pop("codebook"),
     ]
     for spoil in spoils:
         payload = json.loads(saved)
@@ -168,7 +171,7 @@ def test_bundle_load_detects_tamper(tmp_path):
         spoil(payload)
         payload["sha256"] = _sha256(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(CorruptDesignFile, match="seed"):
+        with pytest.raises(CorruptDesignFile, match="seed|codebook"):
             load_design(path)
 
 
