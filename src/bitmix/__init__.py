@@ -2,8 +2,7 @@
 
 Construction and verification of low-collision masking-string sets, the
 two-batch test design with an MDS index code, sublinear-time decoding under
-the noiseless and noisy OR channel, plus brute-force oracles and a
-Monte-Carlo experiment harness.
+the noiseless and noisy OR channel, plus a Monte-Carlo experiment harness.
 """
 
 from .bundle import DesignBundle, build_design, load_design, save_design
@@ -18,12 +17,10 @@ from .errors import (
     InvalidInput,
     MalformedResultFile,
     ShapeMismatch,
-    TooLarge,
     TooManyErasures,
 )
 from .harness import CellSpec, ExperimentConfig, report, run_experiment, run_trial
 from .masking import (
-    CollisionStats,
     MaskingSet,
     MaskingString,
     VerifyReport,
@@ -35,7 +32,6 @@ from .masking import (
     smallk_pairs_ok,
     verify_promising,
 )
-from .oracle import DenseDesign, dense_outcomes, exhaustive_decode, materialize
 from .params import (
     REGIME_GENERAL,
     REGIME_SMALLK,

@@ -33,10 +33,6 @@ class DecodingFailure(BitmixError, RuntimeError):
     """No codeword within the errors-and-erasures radius."""
 
 
-class TooLarge(BitmixError, ValueError):
-    """Brute-force oracle invoked beyond its size guard."""
-
-
 class MalformedResultFile(BitmixError, ValueError):
     """A results file is missing, truncated, or structurally invalid."""
 

@@ -15,12 +15,15 @@ set-quality notions are statistics of pairwise collision counts:
   sum at most (|S|-1) * 2w/(c1*k).  The constants are asymptotic: at desk-size
   parameters random candidates essentially never satisfy the max-deviation
   bound, which is why construction also offers an unverified path.  The
-  pair counts come from `pairwise_collisions`, which counts only the pairs
-  that share a bucket: about |S|^2 w / (2 c1*k) increments for random
-  offsets, plus O(|S|^2) row reductions.
+  pair counts are read in blocks of 16 strings against the strings after
+  them, counting only the pairs that share a bucket.  Each block completes
+  the statistics of its own strings, so the certificate returns at the block
+  that holds the first violation.  Read to the end, the blocks cost about
+  |S|^2 w / (2 c1*k) increments for random offsets; memory is
+  O(16 |S| + |S| w), never |S|^2.
 
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
-  w/(2k) times.
+  w/(2k) times, checked over the same blocks up to the first pair above.
 
 Batch-1 decoding lists the strings whose score reaches a threshold
 (`MaskingSet.reaching`), reading segments in passes and dropping a string
@@ -62,7 +65,8 @@ _FIRST = 4
 _READS = 16
 _SCAN = 32
 
-# Strings whose collision pairs pairwise_collisions counts in one bincount.
+# Strings whose collisions with the later strings _collision_blocks counts in
+# one bincount: the rows of one block of the collision counts.
 _PAIR_ROWS = 16
 
 
@@ -181,17 +185,65 @@ def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
     return MaskingSet(offsets, params, seed, STATUS_UNVERIFIED)
 
 
+def _collision_blocks(offsets):
+    """Yield (lo, block) with block[r, j] the collisions of strings lo+r and lo+j.
+
+    offsets is a non-empty (|S|, w) array of non-negative per-segment
+    offsets.  The blocks come in order, _PAIR_ROWS rows each, and hold the
+    strict upper triangle only: block[r, j] is 0 for j <= r, and the
+    columns of strings before lo are left out.  Two strings collide at
+    segment j only when they share the bucket (j, offset), so only those
+    pairs are counted: a stable argsort of each segment's offsets lists each
+    bucket's strings in ascending order, every (string, segment) pairs with
+    the strings listed after it in its bucket, and one bincount per block
+    counts the pairs.  For uniform offsets over c1*k values that is about
+    |S|^2 w / (2 c1*k) increments in all.  A caller that stops early does
+    only the work of the blocks it read.  A block holds
+    _PAIR_ROWS * (|S| - lo) int64 counts and lists about
+    _PAIR_ROWS |S| w / (c1*k) pairs, so with c1*k >= _PAIR_ROWS a full pass
+    needs O(_PAIR_ROWS |S| + |S| w) memory.
+    """
+    s, w = offsets.shape
+    # int32 indices when every position, pair code and block pair count fits.
+    idx = np.int32 if s * w * _PAIR_ROWS < 2**31 else np.int64
+    span = int(offsets.max()) + 1
+    # The narrowest type: keys of 16 bits or less sort by radix.
+    by_segment = np.ascontiguousarray(offsets.T, dtype=np.min_scalar_type(span))
+    # Strings per bucket, with bucket (j, offset) keyed j*span + offset.
+    keys = by_segment.astype(np.min_scalar_type(w * span))
+    keys += np.arange(0, w * span, span, dtype=keys.dtype)[:, None]
+    sizes = np.bincount(keys.ravel(), minlength=w * span)
+    del keys
+    # members[j*|S| + rank]: segment j's strings, bucket by bucket, ascending;
+    # pos[j, i]: where string i stands in that list.
+    members = np.argsort(by_segment, axis=1, kind="stable").astype(idx)
+    del by_segment
+    pos = np.empty((w, s), dtype=idx)
+    np.put_along_axis(pos, members, np.arange(w * s, dtype=idx).reshape(w, s), axis=1)
+    members = members.ravel()
+    # Entries listed after each position in its bucket.
+    later = np.repeat(np.cumsum(sizes, dtype=idx), sizes)
+    later -= np.arange(1, later.size + 1, dtype=idx)
+    for lo in range(0, s, _PAIR_ROWS):
+        hi, width = min(s, lo + _PAIR_ROWS), s - lo
+        at_row = pos[:, lo:hi].T.ravel()
+        after = later[at_row]
+        first = np.cumsum(after, dtype=idx) - after
+        at = np.arange(first[-1] + after[-1], dtype=idx)
+        at += np.repeat(at_row + 1 - first, after)
+        # Row r's codes start at r * width - lo, so string lo+j lands at column j.
+        rows = np.arange(-lo, (hi - lo) * width - lo, width, dtype=idx)
+        codes = np.repeat(rows.repeat(w), after)
+        codes += members[at]
+        yield lo, np.bincount(codes, minlength=(hi - lo) * width).reshape(hi - lo, width)
+
+
 def pairwise_collisions(offsets) -> np.ndarray:
     """Symmetric |S| x |S| matrix of pair collision counts (diagonal = w).
 
-    offsets is the (|S|, w) array of per-segment offsets.  Two strings
-    collide at segment j only when they share the bucket (j, offset), so
-    only those pairs are counted: a stable argsort of the buckets lists each
-    bucket's strings, every (string, segment) pairs with the strings listed
-    after it in its bucket, and one bincount per _PAIR_ROWS strings counts
-    the pairs.  For uniform offsets over c1*k values that is about
-    |S|^2 w / (2 c1*k) increments.  Counts are uint16, or int32 when
-    w > 65535.
+    offsets is the (|S|, w) array of per-segment offsets.  The upper
+    triangle is assembled from the blocks of _collision_blocks and mirrored.
+    Counts are uint16, or int32 when w > 65535.
     """
     offsets = np.asarray(offsets)
     if offsets.ndim != 2 or not np.issubdtype(offsets.dtype, np.integer):
@@ -201,69 +253,74 @@ def pairwise_collisions(offsets) -> np.ndarray:
     s, w = offsets.shape
     out = np.zeros((s, s), dtype=np.uint16 if w <= 0xFFFF else np.int32)
     if offsets.size:
-        # int32 indices when every position, pair code and block pair count fits.
-        idx = np.int32 if s * w * _PAIR_ROWS < 2**31 else np.int64
-        span = int(offsets.max()) + 1
-        buckets = (offsets + np.arange(0, w * span, span)).ravel()
-        # The narrowest key type: keys of 16 bits or less sort by radix.
-        buckets = buckets.astype(np.min_scalar_type(w * span))
-        order = np.argsort(buckets, kind="stable").astype(idx)
-        members = order // idx(w)  # the strings, bucket by bucket, ascending
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size, dtype=idx)
-        # Entries listed after each (string, segment) in its bucket.
-        in_order = buckets[order]
-        bounds = np.flatnonzero(np.r_[True, in_order[1:] != in_order[:-1], True]).astype(idx)
-        ends = np.repeat(bounds[1:], np.diff(bounds))
-        later = (ends - np.arange(1, order.size + 1, dtype=idx))[pos]
-        for lo in range(0, s, _PAIR_ROWS):
-            hi = min(s, lo + _PAIR_ROWS)
-            after = later[lo * w:hi * w]
-            first = np.cumsum(after, dtype=idx) - after
-            at = np.arange(first[-1] + after[-1], dtype=idx)
-            at += np.repeat(pos[lo * w:hi * w] + 1 - first, after)
-            codes = np.repeat(np.arange(0, (hi - lo) * s, s, dtype=idx).repeat(w), after)
-            codes += members[at]
-            out[lo:hi] = np.bincount(codes, minlength=(hi - lo) * s).reshape(hi - lo, s)
+        for lo, block in _collision_blocks(offsets):
+            out[lo:lo + len(block), lo:] = block
         out += out.T
     np.fill_diagonal(out, w)
     return out
 
 
-@dataclass
-class CollisionStats:
-    """Exact per-string collision statistics against the rest of the set.
+def _string_stats(offsets):
+    """Yield (lo, sums, max_dev_num, sq_dev_num) for each row block's strings.
 
-    Means are sums/n_others; max deviations are max_dev_num/n_others; squared
-    deviation sums are sq_dev_num/n_others**2 (kept as Python ints, because
-    the bound they are compared against can exceed int64).
+    For string i = lo + r against the other n = |S| - 1 strings: sums[r] is
+    the sum of its collision counts, max_dev_num[r] the largest deviation
+    n * c_ij - sums[r] in absolute value, and sq_dev_num[r] the sum of the
+    squared deviations, a Python int because it can exceed int64.  Its mean
+    is sums[r] / n, its largest deviation max_dev_num[r] / n and its
+    squared-deviation sum sq_dev_num[r] / n**2.  The block [lo, hi) of
+    _collision_blocks gives rows lo..hi-1 their counts against every later
+    string, and through its columns gives every later string its counts
+    against them; so once it is read, strings lo..hi-1 are complete.
     """
-
-    sums: np.ndarray
-    max_dev_num: np.ndarray
-    sq_dev_num: list
-    n_others: int
+    s, w = offsets.shape
+    n = s - 1
+    sums = np.zeros(s, dtype=np.int64)
+    squares = np.zeros(s, dtype=np.int64)
+    cmax = np.zeros(s, dtype=np.int64)
+    cmin = np.full(s, w, dtype=np.int64)
+    for lo, block in _collision_blocks(offsets):
+        hi = lo + len(block)
+        sq = block * block
+        # w bounds every count, so it stands in for the pairs outside the
+        # triangle; the zeros there change no sum and no max.
+        tri = np.where(np.triu(np.ones(block.shape, dtype=bool), 1), block, w)
+        for axis, part in ((0, slice(lo, s)), (1, slice(lo, hi))):
+            sums[part] += block.sum(axis=axis)
+            squares[part] += sq.sum(axis=axis)
+            np.maximum(cmax[part], block.max(axis=axis), out=cmax[part])
+            np.minimum(cmin[part], tri.min(axis=axis), out=cmin[part])
+        v = sums[lo:hi]
+        # The deviations n * c_ij - v are exact numerators over denominator
+        # n, so the largest is at the max or min count, and their squares sum
+        # to n^2 * squares - n * v^2.
+        max_dev_num = np.maximum(n * cmax[lo:hi] - v, v - n * cmin[lo:hi])
+        sq_dev_num = [n**2 * int(q) - n * int(x) ** 2 for q, x in zip(squares[lo:hi], v)]
+        yield lo, v, max_dev_num, sq_dev_num
 
 
 @dataclass
 class VerifyReport:
     passed: bool
-    stats: CollisionStats | None
     first_violation: tuple | None  # (string index, condition, detail)
     generalized: bool
     degenerate: bool = False
 
 
 def verify_promising(mset: MaskingSet) -> VerifyReport:
-    """Check the three deterministic collision conditions for every string.
+    """Check the three deterministic collision conditions, string by string.
 
     Condition names in the report: "mean" (mean within 4% of w/(c1*k)),
     "max_dev" (every deviation from the string's own mean at most 6.1),
     "sq_dev" (squared-deviation sum at most (|S|-1) * 2w/(c1*k)).  All three
     are evaluated in exact integer arithmetic.  On pass, the set's status is
     upgraded to "promising".  Sets built with c1 != 4 use the generalized
-    targets and are flagged as such.  Costs about |S|^2 w / (c1*k) pair
-    increments in pairwise_collisions plus O(|S|^2) row reductions.
+    targets and are flagged as such.  The strings are checked in order as
+    each row block of the collision counts completes them, and the check
+    returns at the first violation, so a set that fails at string i costs
+    the blocks up to i's: about (i + _PAIR_ROWS) |S| w / (c1*k) pair
+    increments.  A passing set costs about |S|^2 w / (2 c1*k).  Memory is
+    O(_PAIR_ROWS |S| + |S| w) either way.
     """
     params = mset.params
     s_size, w = params.s_size, params.w
@@ -272,54 +329,31 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
 
     if s_size < 2:
         mset.status = STATUS_PROMISING
-        return VerifyReport(True, None, None, generalized, degenerate=True)
+        return VerifyReport(True, None, generalized, degenerate=True)
 
-    c = pairwise_collisions(mset.offsets)
     n_others = s_size - 1
-    # Off-diagonal row statistics; the diagonal w is no smaller than any count.
-    cmin = c.min(axis=1).astype(np.int64)
-    np.fill_diagonal(c, 0)
-    cmax = c.max(axis=1).astype(np.int64)
-    sums = c.sum(axis=1, dtype=np.int64)
-    squares = np.einsum("ij,ij->i", c, c, dtype=np.int64)
-
-    # Deviations n_others * c_ij - sums_i are exact numerators over
-    # denominator n_others, so the largest is at the row max or min, and
-    # their squares sum to n_others^2 * squares_i - n_others * sums_i^2.  The
-    # rhs bound 2*w*N^3 may not fit int64: the squared sums are Python ints.
-    max_dev_num = np.maximum(n_others * cmax - sums, sums - n_others * cmin)
-    sq_dev_num = [
-        n_others**2 * int(q) - n_others * int(v) ** 2 for q, v in zip(squares, sums)
-    ]
-
-    mean_ok = 25 * np.abs(c1k * sums - w * np.int64(n_others)) <= w * np.int64(n_others)
-    max_ok = 10 * max_dev_num <= 61 * np.int64(n_others)
-    sq_bound = 2 * w * n_others**3  # Python int
-    sq_ok = [c1k * v <= sq_bound for v in sq_dev_num]
-
-    stats = CollisionStats(sums, max_dev_num, sq_dev_num, n_others)
-
-    first = None
-    for i in range(s_size):
-        if not mean_ok[i]:
-            first = (i, "mean", f"mean {sums[i] / n_others:.4f} vs target {w / c1k:.4f} +- 4%")
-            break
-        if not max_ok[i]:
-            first = (i, "max_dev", f"max deviation {max_dev_num[i] / n_others:.3f} > 6.1")
-            break
-        if not sq_ok[i]:
-            first = (
-                i,
-                "sq_dev",
-                f"squared-deviation sum {sq_dev_num[i] / n_others**2:.2f} "
-                f"> {2 * w * n_others / c1k:.2f}",
-            )
-            break
-
-    passed = first is None
-    if passed:
-        mset.status = STATUS_PROMISING
-    return VerifyReport(passed, stats, first, generalized)
+    total = w * n_others  # c1*k times the target sum, (|S|-1) w/(c1*k)
+    sq_bound = 2 * w * n_others**3
+    for lo, sums, max_dev_num, sq_dev_num in _string_stats(mset.offsets):
+        for i, v, dev, sq in zip(
+            range(lo, s_size), sums.tolist(), max_dev_num.tolist(), sq_dev_num
+        ):
+            if 25 * abs(c1k * v - total) > total:
+                first = (i, "mean", f"mean {v / n_others:.4f} vs target {w / c1k:.4f} +- 4%")
+            elif 10 * dev > 61 * n_others:
+                first = (i, "max_dev", f"max deviation {dev / n_others:.3f} > 6.1")
+            elif c1k * sq > sq_bound:
+                first = (
+                    i,
+                    "sq_dev",
+                    f"squared-deviation sum {sq / n_others**2:.2f} "
+                    f"> {2 * w * n_others / c1k:.2f}",
+                )
+            else:
+                continue
+            return VerifyReport(False, first, generalized)
+    mset.status = STATUS_PROMISING
+    return VerifyReport(True, None, generalized)
 
 
 def build_lcs(params: SchemeParams, seed: int, max_attempts: int | None = None) -> MaskingSet:
@@ -346,11 +380,13 @@ def build_lcs(params: SchemeParams, seed: int, max_attempts: int | None = None) 
 
 
 def smallk_pairs_ok(mset: MaskingSet) -> bool:
-    """True when every pair collides in at most w/(2k) segments."""
-    c = pairwise_collisions(mset.offsets)
-    np.fill_diagonal(c, 0)
-    # Not 2k * c <= w: that product could wrap in c's narrow type.
-    return bool((c <= mset.params.w // (2 * mset.params.k)).all())
+    """True when every pair collides in at most w/(2k) segments.
+
+    Reads the collision counts one row block at a time and stops at the
+    first block with a pair above the bound.
+    """
+    bound = mset.params.w // (2 * mset.params.k)
+    return all((block <= bound).all() for _, block in _collision_blocks(mset.offsets))
 
 
 def build_smallk_set(
@@ -360,7 +396,8 @@ def build_smallk_set(
 
     Acceptance per attempt is a few percent at typical very-sparse parameters,
     hence the generous default budget of 1000 attempts; each attempt costs
-    only O(|S|^2 w).
+    at most O(|S|^2 w), and a rejected one stops at the first row block
+    with a pair above the bound.
     """
     max_attempts = 1000 if max_attempts is None else max_attempts
     for attempt in range(max_attempts):

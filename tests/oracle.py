@@ -1,9 +1,10 @@
 """Brute-force references: dense matrix materialization and exhaustive decoding.
 
-These exist to validate the sparse fast paths, not to scale; both operations
-carry hard size guards.  The dense matrix lays out one column per item: t1
-batch-1 rows (the item's masking string) followed by t1*ell batch-2 rows (the
-packed codeword bits placed under the string's 1-positions).
+These exist to validate the sparse fast paths in the tests, not to scale;
+both operations carry hard size guards and raise TooLarge beyond them.  The
+dense matrix lays out one column per item: t1 batch-1 rows (the item's
+masking string) followed by t1*ell batch-2 rows (the packed codeword bits
+placed under the string's 1-positions).
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import DesignBundle
-from .code import symbol_pack
-from .errors import TooLarge
-from .scheme import Batch1Outcome, Batch2Outcome
+from bitmix.bundle import DesignBundle
+from bitmix.code import symbol_pack
+from bitmix.errors import BitmixError
+from bitmix.scheme import Batch1Outcome, Batch2Outcome
 
 DENSE_LIMIT = 4096
 EXHAUSTIVE_N_LIMIT = 24
 EXHAUSTIVE_K_LIMIT = 3
+
+
+class TooLarge(BitmixError, ValueError):
+    """Brute-force oracle invoked beyond its size guard."""
 
 
 @dataclass

@@ -20,10 +20,11 @@ from bitmix.code import ERASURE, Codebook
 from bitmix.harness import CellSpec, ExperimentConfig, run_experiment
 from bitmix.errors import TooManyErasures
 from bitmix.masking import construct_candidate, verify_promising
-from bitmix.oracle import dense_outcomes, materialize
 from bitmix.params import REGIME_SMALLK, derive_params, total_test_bound
 from bitmix.scheme import decode, simulate_outcomes
 from bitmix.seeding import derive_seed
+
+from oracle import dense_outcomes, materialize
 
 
 def _verdict(capsys, num, name, ok, detail):

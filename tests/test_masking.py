@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bitmix import masking
 from bitmix.bundle import DesignBundle, _sha256, load_design, save_design
 from bitmix.errors import (
     ConstructionFailed,
@@ -20,6 +21,7 @@ from bitmix.masking import (
     STATUS_UNVERIFIED,
     MaskingSet,
     MaskingString,
+    _string_stats,
     build_lcs,
     build_smallk_set,
     check_lcs_conditions_all,
@@ -196,14 +198,27 @@ def test_verify_passes_on_exact_set():
     assert mset.status == STATUS_PROMISING
 
 
+def _stream_stats(mset):
+    # the certificate's per-string numerators, read from its stream to the
+    # end: one block of _PAIR_ROWS strings after another, in order
+    sums, max_dev_num, sq_dev_num = [], [], []
+    for lo, v, dev, sq in _string_stats(mset.offsets):
+        assert lo == len(sums)
+        assert len(v) == len(dev) == len(sq) == min(_PAIR_ROWS, len(mset) - lo)
+        assert all(type(x) is int for x in sq)
+        sums += v.tolist()
+        max_dev_num += dev.tolist()
+        sq_dev_num += sq
+    assert len(sums) == len(mset)
+    return sums, max_dev_num, sq_dev_num
+
+
 def test_verify_stats_shapes():
     mset = _equal_collision_set()
-    report = verify_promising(mset)
-    stats = report.stats
-    assert stats.n_others == 2
-    assert stats.sums.tolist() == [20, 20, 20]  # mean 10 = sums / n_others
-    assert stats.max_dev_num.tolist() == [0, 0, 0]
-    assert stats.sq_dev_num == [0, 0, 0]
+    sums, max_dev_num, sq_dev_num = _stream_stats(mset)
+    assert sums == [20, 20, 20]  # mean 10 = sums / (|S| - 1)
+    assert max_dev_num == [0, 0, 0]
+    assert sq_dev_num == [0, 0, 0]
 
 
 
@@ -246,10 +261,79 @@ def _sq_dev_breaking_set():
     return MaskingSet(np.stack([np.zeros(w, dtype=np.int64), s1, s2]), p, seed=0)
 
 
+# GF(4) products; the sum is XOR
+_GF4_MUL = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
+
+# strings in the sets that span more than two row blocks
+_LONG = 2 * _PAIR_ROWS + 3
+
+
+def _orthogonal_set(s_size=_LONG):
+    # string i is the linear form v -> u_i . v over GF(4)^4, one segment per
+    # v, for s_size of the 85 points u of PG(3, 4).  Two such forms are
+    # independent, so every pair of strings collides in exactly
+    # 256 / 4 = 64 = w/(c1*k) segments: every statistic is on target.  The
+    # points are shuffled: in lexicographic order the first 21 lie in one
+    # plane, and their values spread over a segment too evenly for
+    # _max_dev_at to find segments that move t's mean
+    vs = np.array(list(itertools.product(range(4), repeat=4)))
+    points = np.array([v for v in vs if v.any() and v[np.flatnonzero(v)[0]] == 1])
+    assert s_size <= len(points)
+    points = np.random.default_rng(0).permutation(points)[:s_size]
+    offsets = np.bitwise_xor.reduce(_GF4_MUL[points[:, None], vs[None]], axis=2)
+    return MaskingSet(offsets, _params(n=64, k=1, w=len(vs), ell=9, s_size=s_size), 0)
+
+
+def _max_dev_at(t):
+    # the orthogonal set with string t moved onto string j = t + 1 (or 0) in
+    # the six segments where that takes the most collisions from the others.
+    # t and j then collide 70 times: j's deviation is 6 * 33/34 <= 6.1, but
+    # t's mean falls below 64, so its deviation from it exceeds 6.1, and no
+    # other string moves by more than 6
+    exact = _orthogonal_set()
+    offsets = exact.offsets.copy()
+    j = (t + 1) % len(exact)
+    rest = np.delete(offsets, [t, j], axis=0)
+    gain = (rest == offsets[j]).sum(axis=0) - (rest == offsets[t]).sum(axis=0)
+    gain[offsets[t] == offsets[j]] = len(rest)
+    segments = np.argsort(gain, kind="stable")[:6]
+    offsets[t, segments] = offsets[j, segments]
+    return MaskingSet(offsets, exact.params, 0)
+
+
+def _duplicate_at(t):
+    # the orthogonal set with string t + 1 a copy of string t: the only pair
+    # above w/(2k) = 128, and t the first string whose mean is off
+    exact = _orthogonal_set()
+    offsets = exact.offsets.copy()
+    offsets[t + 1] = offsets[t]
+    return MaskingSet(offsets, exact.params, 0)
+
+
+def _boundary_sets():
+    # string 0 meets each bound with equality, so it passes.  With w = 50 and
+    # counts (17, 7): the mean 12 is 4% under 12.5 and the squared-deviation
+    # sum 50 equals 2 * 2w/(c1*k); string 2, with counts (7, 7), fails the
+    # mean.  With w = 100 and counts 32, 26, 26 and seven 25s: the largest
+    # deviation is 61/10 = 6.1
+    for w, zeros in [(50, [17, 7]), (100, [32, 26, 26] + [25] * 7)]:
+        offsets = np.zeros((len(zeros) + 1, w), dtype=np.int64)
+        for j, z in enumerate(zeros, start=1):
+            offsets[j, z:] = 1 + j % 3
+        yield MaskingSet(offsets, _params(n=16, k=1, w=w, ell=7, s_size=len(offsets)), 0)
+
+
 def _certificate_cases():
     rng = np.random.default_rng(17)
     exact = _equal_collision_set()
     yield exact
+    yield from _boundary_sets()
+    # more than one row block: a passing set, and sets whose first violation
+    # is at either end of a block
+    yield _orthogonal_set()
+    for t in (0, _PAIR_ROWS - 1, _PAIR_ROWS, _LONG - 1):
+        yield _max_dev_at(t)
+        yield _duplicate_at(min(t, _LONG - 2))
     yield MaskingSet(np.tile(exact.offsets, (1, 4)), _params(n=16, k=1, w=160, ell=8, s_size=3), 0)
     yield _sq_dev_breaking_set()
     # random sets: |S| = 2, |S| on both sides of a row block and not a
@@ -288,12 +372,8 @@ def test_certificate_matches_dense_reference():
         sums, max_dev_num, sq_dev_num, first, smallk = _dense_certificate(
             mset.offsets.astype(np.int64), p.segment_len, p.k
         )
+        assert _stream_stats(mset) == (sums.tolist(), max_dev_num.tolist(), sq_dev_num)
         report = verify_promising(mset)
-        assert report.stats.sums.tolist() == sums.tolist()
-        assert report.stats.max_dev_num.tolist() == max_dev_num.tolist()
-        assert report.stats.sq_dev_num == sq_dev_num
-        assert all(type(v) is int for v in report.stats.sq_dev_num)
-        assert report.stats.n_others == len(mset) - 1
         assert report.passed == (first is None)
         assert (report.first_violation and report.first_violation[:2]) == first
         assert smallk_pairs_ok(mset) == smallk
@@ -301,6 +381,41 @@ def test_certificate_matches_dense_reference():
         seen.add(smallk)
     # every outcome of both checks occurs among the cases
     assert seen == {None, "mean", "max_dev", "sq_dev", True, False}
+
+def test_certificate_reads_only_up_to_the_violating_block(monkeypatch):
+    # the certificate and the small-k check stop at the row block holding
+    # the first violation, or the first pair above w/(2k); a passing set
+    # reads every block
+    blocks = masking._collision_blocks
+    drawn = []
+
+    def counted(offsets):
+        drawn.append(0)
+        for block in blocks(offsets):
+            drawn[-1] += 1
+            yield block
+
+    monkeypatch.setattr(masking, "_collision_blocks", counted)
+    passing = _orthogonal_set()
+    assert verify_promising(passing).passed
+    assert passing.status == STATUS_PROMISING
+    assert smallk_pairs_ok(passing)
+    assert drawn == [3, 3]
+    for t in (0, _PAIR_ROWS - 1, _PAIR_ROWS, _LONG - 1):
+        drawn.clear()
+        mset = _max_dev_at(t)
+        report = verify_promising(mset)
+        assert not report.passed and report.first_violation[:2] == (t, "max_dev")
+        assert mset.status == STATUS_UNVERIFIED
+        dup = _duplicate_at(min(t, _LONG - 2))
+        assert not smallk_pairs_ok(dup)
+        assert drawn == [t // _PAIR_ROWS + 1, min(t, _LONG - 2) // _PAIR_ROWS + 1]
+    # a derived candidate fails at string 0, within the first block
+    drawn.clear()
+    report = verify_promising(construct_candidate(derive_params(2**20, 20), seed=0))
+    assert report.first_violation[0] == 0
+    assert drawn == [1]
+
 
 def test_verify_fails_on_duplicate():
     mset = _equal_collision_set()
@@ -329,7 +444,7 @@ def test_verify_degenerate_singleton():
     mset = construct_candidate(p, seed=0)
     report = verify_promising(mset)
     assert report.passed and report.degenerate
-    assert report.stats is None
+    assert report.first_violation is None
 
 
 def test_verify_generalized_flag():

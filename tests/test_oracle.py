@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from bitmix.bundle import _sha256, build_design, load_design, save_design
-from bitmix.errors import CorruptDesignFile, TooLarge
-from bitmix.oracle import dense_outcomes, exhaustive_decode, materialize
+from bitmix.errors import CorruptDesignFile
 from bitmix.params import REGIME_SMALLK
 from bitmix.scheme import decode, simulate_outcomes
+
+from oracle import TooLarge, dense_outcomes, exhaustive_decode, materialize
 
 
 def _bundle(n=64, k=2, regime=None, seed=0):
