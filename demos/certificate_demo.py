@@ -22,7 +22,6 @@ from bitmix import (
     derive_params,
     verify_promising,
 )
-from bitmix.masking import pairwise_collisions
 from bitmix.params import REGIME_SMALLK
 
 
@@ -42,10 +41,15 @@ def exact_target_set():
     return MaskingSet(np.stack([s0, s1, s2]), p, seed=0, status="unverified")
 
 
+def collision_matrix(offsets):
+    # entry (i, j) counts the segments where strings i and j share an offset
+    return (offsets[:, None] == offsets[None]).sum(-1)
+
+
 def main():
     print("1) hand-built set with every pairwise collision count on target")
     mset = exact_target_set()
-    mat = pairwise_collisions(mset.offsets)
+    mat = collision_matrix(mset.offsets)
     print("   collision matrix (diagonal is the string weight):")
     for row in mat:
         print("     ", list(int(v) for v in row))
@@ -69,7 +73,7 @@ def main():
     print("3) very-sparse regime: rejection-sample until the pairwise bound holds")
     ps = derive_params(2**16, 2, regime=REGIME_SMALLK)
     mset = build_smallk_set(ps, seed=1)
-    mat = pairwise_collisions(mset.offsets)
+    mat = collision_matrix(mset.offsets)
     np.fill_diagonal(mat, 0)
     print(f"   |S|={ps.s_size}, w={ps.w}, bound w/(2k) = {ps.w // (2 * ps.k)}")
     print(f"   accepted set: max pairwise collisions = {int(mat.max())}, "

@@ -6,7 +6,7 @@ the noiseless and noisy OR channel, plus a Monte-Carlo experiment harness.
 """
 
 from .bundle import DesignBundle, build_design, load_design, save_design
-from .code import ERASURE, Codebook, symbol_pack, symbol_unpack
+from .code import ERASURE, Codebook
 from .errors import (
     BitmixError,
     ConstructionFailed,
@@ -22,12 +22,10 @@ from .errors import (
 from .harness import CellSpec, ExperimentConfig, report, run_experiment, run_trial
 from .masking import (
     MaskingSet,
-    MaskingString,
     VerifyReport,
     build_lcs,
     build_smallk_set,
     check_lcs_conditions_all,
-    collisions,
     construct_candidate,
     smallk_pairs_ok,
     verify_promising,
@@ -50,9 +48,7 @@ from .scheme import (
     identify_strings,
     outcomes_from_bytes,
     outcomes_to_bytes,
-    read_outcomes,
     simulate_outcomes,
-    write_outcomes,
 )
 
 __version__ = "0.1.0"

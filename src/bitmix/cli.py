@@ -27,11 +27,19 @@ from .masking import smallk_pairs_ok, verify_promising
 from .params import REGIMES, REGIME_GENERAL, REGIME_SMALLK
 
 
+# The cell and run flags of `run`, with their defaults.  Its parser leaves out
+# a flag that is not given, so that --config, whose file sets them, can refuse it.
+_RUN_DEFAULTS = {
+    "n": None, "k": None, "xi": 0.0, "regime": REGIME_GENERAL, "kprime": "uniform",
+    "trials": 1000, "seed": 0, "no_verify": False, "record_trials": False, "max_attempts": None,
+}
+
+
 def _add_cell_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="number of items")
     p.add_argument("--k", type=int, help="maximum number of defectives")
-    p.add_argument("--xi", type=float, default=0.0, help="test flip probability")
-    p.add_argument("--regime", choices=REGIMES, default=REGIME_GENERAL)
+    p.add_argument("--xi", type=float, help="test flip probability (default 0)")
+    p.add_argument("--regime", choices=REGIMES, help="design regime (default general)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-design", help="construct and save a design bundle")
     _add_cell_args(p)
+    p.set_defaults(xi=0.0, regime=REGIME_GENERAL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output design file")
     p.add_argument("--no-verify", action="store_true",
@@ -49,20 +58,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-set", help="re-run the certificate on a saved design")
     p.add_argument("--design", required=True, help="design bundle file")
 
-    p = sub.add_parser("run", help="run Monte-Carlo trials")
+    p = sub.add_parser("run", help="run Monte-Carlo trials",
+                       argument_default=argparse.SUPPRESS)
     _add_cell_args(p)
-    p.add_argument("--kprime", default="uniform",
-                   help='defective count per trial: "uniform" or a fixed integer')
-    p.add_argument("--config", help="JSON experiment config (overrides cell flags)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kprime",
+                   help='defective count per trial: "uniform" (default) or a fixed integer')
+    p.add_argument("--config", default=None,
+                   help="JSON experiment config (takes no other flag but --out and --threads)")
+    p.add_argument("--trials", type=int, help="trials per cell (default 1000)")
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--out", required=True, help="results JSON path")
     p.add_argument("--threads", type=int, default=None,
                    help="sweep threads (default 1; with --config, overrides its threads)")
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--record-trials", action="store_true",
                    help="also write a per-trial JSONL next to the results")
-    p.add_argument("--max-attempts", type=int, default=None)
+    p.add_argument("--max-attempts", type=int)
 
     p = sub.add_parser("report", help="summarize results into CSV")
     p.add_argument("--results", required=True)
@@ -112,10 +123,17 @@ def _cmd_verify_set(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    given = sorted(vars(args).keys() & _RUN_DEFAULTS.keys())
     if args.config:
+        if given:
+            flags = " ".join("--" + name.replace("_", "-") for name in given)
+            print(f"run --config takes its cells and run settings from the file, "
+                  f"not from {flags}", file=sys.stderr)
+            return 2
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(json.load(fh))
     else:
+        args = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
         if args.n is None or args.k is None:
             print("run requires --config, or --n and --k", file=sys.stderr)
             return 2

@@ -297,24 +297,3 @@ class Codebook:
             raise errors[0]
         return items[0]
 
-
-def symbol_pack(symbols, ell: int) -> np.ndarray:
-    """Expand symbols to bits, little-endian within each ell-bit group.
-
-    A scalar becomes ell bits; a length-t vector becomes t*ell bits with
-    symbol j occupying bits [j*ell, (j+1)*ell).
-    """
-    arr = np.atleast_1d(np.asarray(symbols, dtype=np.int64))
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= (1 << ell):
-        raise InvalidInput("symbol out of range for the given ell")
-    bits = (arr[:, None] >> np.arange(ell)) & 1
-    return bits.reshape(-1).astype(np.uint8)
-
-
-def symbol_unpack(bits, ell: int) -> np.ndarray:
-    """Inverse of symbol_pack: group bits in ell-long little-endian runs."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.size % ell:
-        raise InvalidInput(f"bit count {bits.size} is not a multiple of ell={ell}")
-    groups = bits.reshape(-1, ell)
-    return groups @ (1 << np.arange(ell, dtype=np.int64))

@@ -151,7 +151,7 @@ def _sample_distinct(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return np.sort(np.fromiter(seen, dtype=np.int64, count=size))
 
 
-def classify_failure(success, defectives, string_idx, string_list, estimate) -> str:
+def classify_failure(success, defectives, string_idx, string_list) -> str:
     if success:
         return "none"
     if np.unique(string_idx).size < len(defectives):
@@ -187,9 +187,7 @@ def run_trial(bundle, trial_index: int, trial_seed: int, kprime) -> TrialRecord:
     result = decode(y1, y2, bundle.masking, bundle.codebook)
     truth = set(int(d) for d in defectives)
     success = result.estimate == truth
-    failure = classify_failure(
-        success, defectives, string_idx, result.string_list, result.estimate
-    )
+    failure = classify_failure(success, defectives, string_idx, result.string_list)
     return TrialRecord(
         trial=trial_index,
         seed=trial_seed,

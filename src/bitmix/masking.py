@@ -7,7 +7,9 @@ set-quality notions are statistics of pairwise collision counts:
 
 * The per-trial decode conditions (`check_lcs_conditions_all`): the
   defectives' strings must collide with each other, and every outside string
-  with the defective multiset, in at most w/2 positions total.
+  with the defective multiset, in at most w/2 positions total.  A string's
+  total is its score (`MaskingSet.scores`) on the multiset's position usage
+  (`MaskingSet.usage`), so no pair is counted one by one.
 
 * The deterministic certificate (`verify_promising`): for every string, the
   collision counts against the other |S|-1 strings must have mean within 4%
@@ -15,12 +17,12 @@ set-quality notions are statistics of pairwise collision counts:
   sum at most (|S|-1) * 2w/(c1*k).  The constants are asymptotic: at desk-size
   parameters random candidates essentially never satisfy the max-deviation
   bound, which is why construction also offers an unverified path.  The
-  pair counts are read in blocks of 16 strings against the strings after
-  them, counting only the pairs that share a bucket.  Each block completes
-  the statistics of its own strings, so the certificate returns at the block
-  that holds the first violation.  Read to the end, the blocks cost about
-  |S|^2 w / (2 c1*k) increments for random offsets; memory is
-  O(16 |S| + |S| w), never |S|^2.
+  pair counts come from one private kernel (`_collision_blocks`), in blocks
+  of 16 strings against the strings after them, counting only the pairs
+  that share a bucket.  Each block completes the statistics of its own
+  strings, so the certificate returns at the block that holds the first
+  violation.  Read to the end, the blocks cost about |S|^2 w / (2 c1*k)
+  increments for random offsets; memory is O(16 |S| + |S| w), never |S|^2.
 
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
   w/(2k) times, checked over the same blocks up to the first pair above.
@@ -50,7 +52,7 @@ from .errors import (
     InvalidInput,
     ShapeMismatch,
 )
-from .params import SchemeParams
+from .params import SchemeParams, checked_array
 from .seeding import derive_seed
 
 STATUS_UNVERIFIED = "unverified"
@@ -71,41 +73,6 @@ _PAIR_ROWS = 16
 
 
 @dataclass
-class MaskingString:
-    """One string in sparse form: offsets[j] is the 1-position in segment j."""
-
-    offsets: np.ndarray
-    segment_len: int
-
-    def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        if self.offsets.ndim != 1 or self.offsets.size < 1:
-            raise InvalidInput("offsets must be a non-empty vector")
-        if self.offsets.min() < 0 or self.offsets.max() >= self.segment_len:
-            raise InvalidInput(f"offsets must lie in [0, {self.segment_len})")
-
-    @property
-    def weight(self) -> int:
-        return self.offsets.size
-
-    def to_bits(self) -> np.ndarray:
-        """Dense 0/1 form, length segment_len * w."""
-        bits = np.zeros(self.segment_len * self.weight, dtype=np.uint8)
-        bits[np.arange(self.weight) * self.segment_len + self.offsets] = 1
-        return bits
-
-
-def collisions(a: MaskingString, b: MaskingString) -> int:
-    """Number of segments where a and b share their 1-position (= dense dot)."""
-    if a.segment_len != b.segment_len or a.weight != b.weight:
-        raise ShapeMismatch(
-            f"strings disagree on (segment_len, w): "
-            f"({a.segment_len}, {a.weight}) vs ({b.segment_len}, {b.weight})"
-        )
-    return int(np.count_nonzero(a.offsets == b.offsets))
-
-
-@dataclass
 class MaskingSet:
     """|S| masking strings plus the params and provenance they were built for."""
 
@@ -115,24 +82,15 @@ class MaskingSet:
     status: str = STATUS_UNVERIFIED
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.int32)
         if self.status not in _STATUSES:
             raise InvalidInput(f"unknown status {self.status!r}")
+        self.offsets = checked_array("offsets", self.offsets, 2, self.params.segment_len, np.int32)
         expect = (self.params.s_size, self.params.w)
         if self.offsets.shape != expect:
             raise ShapeMismatch(f"offsets shape {self.offsets.shape} != {expect}")
-        if self.offsets.size and (
-            self.offsets.min() < 0 or self.offsets.max() >= self.params.segment_len
-        ):
-            raise InvalidInput("offsets outside [0, c1*k)")
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
-
-    def string(self, i: int) -> MaskingString:
-        if not 0 <= i < len(self):
-            raise IndexOutOfRange(f"string index {i} outside [0, {len(self)})")
-        return MaskingString(self.offsets[i].astype(np.int64), self.params.segment_len)
 
     @cached_property
     def flat_positions(self) -> np.ndarray:
@@ -236,28 +194,6 @@ def _collision_blocks(offsets):
         codes = np.repeat(rows.repeat(w), after)
         codes += members[at]
         yield lo, np.bincount(codes, minlength=(hi - lo) * width).reshape(hi - lo, width)
-
-
-def pairwise_collisions(offsets) -> np.ndarray:
-    """Symmetric |S| x |S| matrix of pair collision counts (diagonal = w).
-
-    offsets is the (|S|, w) array of per-segment offsets.  The upper
-    triangle is assembled from the blocks of _collision_blocks and mirrored.
-    Counts are uint16, or int32 when w > 65535.
-    """
-    offsets = np.asarray(offsets)
-    if offsets.ndim != 2 or not np.issubdtype(offsets.dtype, np.integer):
-        raise InvalidInput("offsets must be a 2-D integer array (strings x segments)")
-    if offsets.size and offsets.min() < 0:
-        raise InvalidInput("offsets must be non-negative")
-    s, w = offsets.shape
-    out = np.zeros((s, s), dtype=np.uint16 if w <= 0xFFFF else np.int32)
-    if offsets.size:
-        for lo, block in _collision_blocks(offsets):
-            out[lo:lo + len(block), lo:] = block
-        out += out.T
-    np.fill_diagonal(out, w)
-    return out
 
 
 def _string_stats(offsets):

@@ -25,6 +25,8 @@ import dataclasses
 import math
 import numbers
 
+import numpy as np
+
 from .errors import InvalidInput
 
 REGIME_GENERAL = "general"
@@ -43,6 +45,18 @@ def checked_integer(name: str, value, low=None) -> int:
             return int(value)
     raise InvalidInput(f"{name} must be an integer{'' if low is None else f' >= {low}'}, "
                        f"got {value!r}")
+
+
+def checked_array(name: str, values, ndim: int, bound: int, dtype) -> np.ndarray:
+    """values as an ndim-D dtype array, checked before the cast to hold integers
+    (or bools) in [0, bound): no float is truncated and no value wraps."""
+    arr = np.asarray(values)
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in "biu"):
+        raise InvalidInput(f"{name} must be a {ndim}-D array of integers, "
+                           f"got {arr.dtype} of shape {arr.shape}")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+        raise InvalidInput(f"{name} must hold values in [0, {bound})")
+    return arr.astype(dtype, copy=False)
 
 
 def checked_real(name: str, value) -> float:

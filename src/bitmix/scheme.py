@@ -13,12 +13,11 @@ string also has a 1.  The |L| words then go through one batched decode:
 erasures only when noiseless, errors and erasures under noise.  Work is at
 most O(|S| w) for batch 1, and about O(|S| + |L| w) on a noiseless outcome,
 where almost every string drops out after a few segments
-(`MaskingSet.reaching`); plus about O(|L| T m w) for the candidate stage
-of `Codebook.decode_words` (T = 1 noiseless, 32 under noise: one Lagrange
-interpolation and one re-encode per m-tuple), plus
-O(|L'| w^2) for the |L'| noisy words that no candidate fits (syndromes,
-Berlekamp-Massey, Chien search) - no term depends on n except through w
-and m.
+(`MaskingSet.reaching`); plus about O(|L| T m w) for the candidate stage of
+`Codebook.decode_words` (T = 1 noiseless, 32 under noise: one Lagrange
+interpolation and one re-encode per m-tuple), plus O(|L'| w^2) for the |L'|
+noisy words that no candidate fits (syndromes, Berlekamp-Massey, Chien
+search) - no term depends on n except through w and m.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ERASURE, Codebook, symbol_pack, symbol_unpack
+from .code import ERASURE, Codebook
 from .errors import InvalidInput, MalformedResultFile
 from .masking import MaskingSet
-from .params import SchemeParams
+from .params import SchemeParams, checked_array, checked_integer
 from .seeding import GOLDEN64, mix64, mix64_array
 
 OUTCOME_MAGIC = b"BMXO"
@@ -57,18 +56,13 @@ class Assignment:
         h = mix64_array((items + np.uint64(1)) * np.uint64(GOLDEN64) + key)
         return (h % np.uint64(self.s_size)).astype(np.int64)
 
-    def __call__(self, item: int) -> int:
-        return int(self.index_of(item)[0])
-
 
 @dataclass
 class Batch1Outcome:
     bits: np.ndarray  # (t1,) uint8 in {0, 1}
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1:
-            raise InvalidInput("batch-1 outcome must be a flat bit vector")
+        self.bits = checked_array("batch-1 outcome", self.bits, 1, 2, np.uint8)
 
 
 @dataclass
@@ -77,16 +71,8 @@ class Batch2Outcome:
     ell: int
 
     def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=np.int64)
-        if self.symbols.ndim != 1:
-            raise InvalidInput("batch-2 outcome must be a flat symbol vector")
-
-    def to_bits(self) -> np.ndarray:
-        return symbol_pack(self.symbols, self.ell)
-
-    @classmethod
-    def from_bits(cls, bits, ell: int) -> "Batch2Outcome":
-        return cls(symbol_unpack(bits, ell), ell)
+        self.ell = checked_integer("ell", self.ell, low=1)
+        self.symbols = checked_array("batch-2 outcome", self.symbols, 1, 1 << self.ell, np.int64)
 
 
 def batch1_threshold(params: SchemeParams) -> int:
@@ -135,9 +121,9 @@ def simulate_outcomes(
         if rng is None:
             raise InvalidInput("xi > 0 requires an rng for the noise draws")
         y1 ^= rng.random(params.t1) < params.xi
-        bits2 = symbol_pack(symbols, params.ell)
-        bits2 ^= rng.random(params.t1 * params.ell) < params.xi
-        symbols = symbol_unpack(bits2, params.ell)
+        # Flips in batch-2 test order: bit b of symbol j is test j*ell + b.
+        flips = rng.random((params.t1, params.ell)) < params.xi
+        symbols ^= flips @ (1 << np.arange(params.ell))
 
     return Batch1Outcome(y1), Batch2Outcome(symbols, params.ell)
 
@@ -185,10 +171,6 @@ class DecodeResult:
     batch1_seconds: float
     batch2_seconds: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.batch1_seconds + self.batch2_seconds
-
 
 def decode(
     y1: Batch1Outcome,
@@ -199,9 +181,9 @@ def decode(
 ) -> DecodeResult:
     """Full pipeline: string identification, then per-string index recovery.
 
-    Raises InvalidInput when the outcomes do not fit the design: y1 must be
-    t1 bits in {0, 1}, y2 must be t1 symbols in [0, 2^ell) for the design's
-    ell.
+    Raises InvalidInput when the outcomes do not fit the design (y1 must be
+    t1 bits in {0, 1}, y2 t1 symbols in [0, 2^ell) for the design's ell), or
+    when the threshold is not an integer >= 0.
     """
     params = mset.params
     if y1.bits.shape != (params.t1,) or y1.bits.max(initial=0) > 1:
@@ -219,6 +201,7 @@ def decode(
         )
     if threshold is None:
         threshold = batch1_threshold(params)
+    threshold = checked_integer("threshold", threshold, low=0)
     t0 = time.perf_counter()
     string_list = identify_strings(y1, mset, threshold)
     t1 = time.perf_counter()
@@ -230,18 +213,29 @@ def decode(
 
 
 # ---------------------------------------------------------------------------
-# Outcome serialization: 16-byte header + little-endian packed bits.
+# Outcome serialization: 16-byte header + little-endian packed bits; batch 2
+# has ell little-endian bits per symbol, symbol j at bits [j*ell, (j+1)*ell).
 
 _HEADER = struct.Struct("<4sHHQ")
 
 
+def _symbol_bits(symbols: np.ndarray, ell: int) -> np.ndarray:
+    return ((symbols[:, None] >> np.arange(ell)) & 1).astype(np.uint8).ravel()
+
+
+def _bit_symbols(bits: np.ndarray, ell: int) -> np.ndarray:
+    return bits.reshape(-1, ell).astype(np.int64) @ (1 << np.arange(ell))
+
+
 def outcomes_to_bytes(y1: Batch1Outcome, y2: Batch2Outcome) -> bytes:
+    # Checked again: a field set after construction would pack out of range.
+    y1, y2 = Batch1Outcome(y1.bits), Batch2Outcome(y2.symbols, y2.ell)
     t1 = y1.bits.size
     if y2.symbols.size != t1:
         raise InvalidInput("batch sizes disagree")
     header = _HEADER.pack(OUTCOME_MAGIC, OUTCOME_VERSION, y2.ell, t1)
     body1 = np.packbits(y1.bits, bitorder="little").tobytes()
-    body2 = np.packbits(y2.to_bits(), bitorder="little").tobytes()
+    body2 = np.packbits(_symbol_bits(y2.symbols, y2.ell), bitorder="little").tobytes()
     return header + body1 + body2
 
 
@@ -253,6 +247,8 @@ def outcomes_from_bytes(blob: bytes):
         raise MalformedResultFile(f"bad outcome magic {magic!r}")
     if version != OUTCOME_VERSION:
         raise MalformedResultFile(f"unsupported outcome version {version}")
+    if ell < 1:
+        raise MalformedResultFile("outcome header gives ell = 0")
     n1 = (t1 + 7) // 8
     n2 = (t1 * ell + 7) // 8
     if len(blob) != _HEADER.size + n1 + n2:
@@ -260,14 +256,4 @@ def outcomes_from_bytes(blob: bytes):
     raw = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
     bits1 = np.unpackbits(raw[:n1], bitorder="little")[:t1]
     bits2 = np.unpackbits(raw[n1:], bitorder="little")[: t1 * ell]
-    return Batch1Outcome(bits1), Batch2Outcome.from_bits(bits2, ell)
-
-
-def write_outcomes(path, y1: Batch1Outcome, y2: Batch2Outcome) -> None:
-    with open(path, "wb") as fh:
-        fh.write(outcomes_to_bytes(y1, y2))
-
-
-def read_outcomes(path):
-    with open(path, "rb") as fh:
-        return outcomes_from_bytes(fh.read())
+    return Batch1Outcome(bits1), Batch2Outcome(_bit_symbols(bits2, ell), ell)

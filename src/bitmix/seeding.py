@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4B9C15
+GOLDEN64 = 0x9E3779B97F4B9C15
 
 
 def mix64(z: int) -> int:
@@ -26,7 +26,7 @@ def derive_seed(root: int, *parts: int) -> int:
     """A 64-bit child seed from a root seed and integer context parts."""
     acc = mix64(int(root) & _MASK64)
     for p in parts:
-        acc = mix64((acc ^ (((int(p) + 1) * _GOLDEN) & _MASK64)) & _MASK64)
+        acc = mix64((acc ^ (((int(p) + 1) * GOLDEN64) & _MASK64)) & _MASK64)
     return acc
 
 
@@ -40,5 +40,3 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(31)
     return z
 
-
-GOLDEN64 = _GOLDEN

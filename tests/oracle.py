@@ -1,10 +1,12 @@
-"""Brute-force references: dense matrix materialization and exhaustive decoding.
+"""Brute-force references: dense matrix materialization, exhaustive decoding,
+and collision counts one string pair at a time.
 
 These exist to validate the sparse fast paths in the tests, not to scale;
-both operations carry hard size guards and raise TooLarge beyond them.  The
-dense matrix lays out one column per item: t1 batch-1 rows (the item's
-masking string) followed by t1*ell batch-2 rows (the packed codeword bits
-placed under the string's 1-positions).
+materialization and exhaustive decoding carry hard size guards and raise
+TooLarge beyond them.  The dense matrix lays out one column per item: t1
+batch-1 rows (the item's masking string) followed by t1*ell batch-2 rows
+(the codeword's bits, ell little-endian bits per symbol, placed under the
+string's 1-positions).
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bitmix.bundle import DesignBundle
-from bitmix.code import symbol_pack
-from bitmix.errors import BitmixError
+from bitmix.errors import BitmixError, InvalidInput, ShapeMismatch
 from bitmix.scheme import Batch1Outcome, Batch2Outcome
 
 DENSE_LIMIT = 4096
@@ -26,6 +27,58 @@ EXHAUSTIVE_K_LIMIT = 3
 
 class TooLarge(BitmixError, ValueError):
     """Brute-force oracle invoked beyond its size guard."""
+
+
+@dataclass
+class MaskingString:
+    """One string in sparse form: offsets[j] is the 1-position in segment j."""
+
+    offsets: np.ndarray
+    segment_len: int
+
+    def __post_init__(self):
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        if self.offsets.ndim != 1 or self.offsets.size < 1:
+            raise InvalidInput("offsets must be a non-empty vector")
+        if self.offsets.min() < 0 or self.offsets.max() >= self.segment_len:
+            raise InvalidInput(f"offsets must lie in [0, {self.segment_len})")
+
+    @property
+    def weight(self) -> int:
+        return self.offsets.size
+
+    def to_bits(self) -> np.ndarray:
+        """Dense 0/1 form, length segment_len * w."""
+        bits = np.zeros(self.segment_len * self.weight, dtype=np.uint8)
+        bits[np.arange(self.weight) * self.segment_len + self.offsets] = 1
+        return bits
+
+
+def collisions(a: MaskingString, b: MaskingString) -> int:
+    """Number of segments where a and b share their 1-position (= dense dot)."""
+    if a.segment_len != b.segment_len or a.weight != b.weight:
+        raise ShapeMismatch(
+            f"strings disagree on (segment_len, w): "
+            f"({a.segment_len}, {a.weight}) vs ({b.segment_len}, {b.weight})"
+        )
+    return int(np.count_nonzero(a.offsets == b.offsets))
+
+
+def collision_matrix(offsets) -> np.ndarray:
+    """|S| x |S| collision counts of the rows of offsets (diagonal = w)."""
+    offsets = np.asarray(offsets)
+    return np.array([(offsets == row).sum(axis=1) for row in offsets])
+
+
+def symbol_bits(symbols, ell: int) -> np.ndarray:
+    """ell little-endian bits per symbol, symbol j at bits [j*ell, (j+1)*ell)."""
+    symbols = np.atleast_1d(symbols)
+    return np.array([(int(s) >> b) & 1 for s in symbols for b in range(ell)], dtype=np.uint8)
+
+
+def bits_symbols(bits, ell: int) -> np.ndarray:
+    """Inverse of symbol_bits."""
+    return sum(np.asarray(bits[b::ell], dtype=np.int64) << b for b in range(ell))
 
 
 @dataclass
@@ -56,7 +109,7 @@ def materialize(bundle: DesignBundle, limit: int = DENSE_LIMIT) -> DenseDesign:
     for col in range(params.n):
         pos = positions[col]
         matrix[pos, col] = 1
-        cw_bits = symbol_pack(bundle.codebook.encode_index(col + 1), ell)
+        cw_bits = symbol_bits(bundle.codebook.encode_index(col + 1), ell)
         rows = t1 + (pos[:, None] * ell + bit_offsets[None, :]).ravel()
         matrix[rows, col] = cw_bits
     assert matrix[:t1].sum(axis=0).tolist() == [w] * params.n
@@ -71,7 +124,7 @@ def dense_outcomes(dense: DenseDesign, defectives) -> tuple[Batch1Outcome, Batch
     else:
         merged = np.zeros(dense.t, dtype=np.uint8)
     y1 = Batch1Outcome(merged[: dense.t1])
-    y2 = Batch2Outcome.from_bits(merged[dense.t1 :], dense.ell)
+    y2 = Batch2Outcome(bits_symbols(merged[dense.t1 :], dense.ell), dense.ell)
     return y1, y2
 
 
@@ -91,7 +144,7 @@ def exhaustive_decode(
             f"exhaustive decoding capped at n <= {EXHAUSTIVE_N_LIMIT}, "
             f"k <= {EXHAUSTIVE_K_LIMIT}"
         )
-    target_bits = np.concatenate([y1.bits, y2.to_bits()])
+    target_bits = np.concatenate([y1.bits, symbol_bits(y2.symbols, y2.ell)])
     target = np.packbits(target_bits, bitorder="little")
     packed = np.packbits(dense.matrix, axis=0, bitorder="little")
 

@@ -127,7 +127,7 @@ def _median_decode_ms(n, k, trials=201):
             defectives, bundle.assignment, bundle.masking, bundle.codebook
         )
         result = decode(y1, y2, bundle.masking, bundle.codebook)
-        times.append(result.total_seconds)
+        times.append(result.batch1_seconds + result.batch2_seconds)
     return 1e3 * float(np.median(times))
 
 

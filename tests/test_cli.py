@@ -121,6 +121,29 @@ def test_run_threads_flag_overrides_the_config(tmp_path, monkeypatch, capsys):
     assert "threads" in capsys.readouterr().err
     assert not seen
 
+def test_run_config_refuses_cell_and_run_flags(tmp_path, monkeypatch, capsys):
+    # the file sets every cell and run setting, so a flag that would set one
+    # too is refused by name rather than ignored; even one that repeats a
+    # default is refused
+    seen = []
+    monkeypatch.setattr("bitmix.cli.run_experiment",
+                        lambda cfg, out_path: seen.append(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "cells": [{"n": 4096, "k": 2, "regime": "smallk"}], "trials": 3, "seed": 9,
+    }))
+    run = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
+    for flag in (["--n", "99"], ["--k", "7"], ["--xi", "0"], ["--regime", "general"],
+                 ["--kprime", "uniform"], ["--trials", "50"], ["--seed", "0"],
+                 ["--no-verify"], ["--record-trials"], ["--max-attempts", "3"]):
+        assert main(run + flag) == 2
+        assert flag[0] in capsys.readouterr().err
+    assert main(run + ["--trials", "50", "--record-trials", "--n", "99", "--k", "7"]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in ("--trials", "--record-trials", "--n", "--k"))
+    assert not seen
+
+
 def test_run_rejects_a_bad_kprime(tmp_path, capsys):
     rc = main([
         "run", "--n", "4096", "--k", "2", "--regime", "smallk", "--kprime", "foo",

@@ -7,15 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitmix import code
-from bitmix.code import ERASURE, Codebook, symbol_pack, symbol_unpack
+from bitmix.code import ERASURE, Codebook
 from bitmix.errors import (
     DecodingFailure,
     InconsistentWord,
     IndexOutOfRange,
     InvalidInput,
+    MalformedResultFile,
     TooManyErasures,
 )
 from bitmix.gf import get_field
+from bitmix.scheme import (
+    Batch1Outcome,
+    Batch2Outcome,
+    _bit_symbols,
+    _symbol_bits,
+    outcomes_from_bytes,
+    outcomes_to_bytes,
+)
 
 
 def test_encode_shapes_and_range():
@@ -188,30 +197,42 @@ def test_degenerate_single_item():
     assert cb.decode_erasures(word) == 1
 
 
+# The batch-2 symbols are sent as ell little-endian bits each; the layout
+# lives beside the outcome bytes in scheme.py.
+
+
 def test_symbol_pack_example():
-    assert symbol_pack(5, ell=3).tolist() == [1, 0, 1]
+    assert _symbol_bits(np.array([5]), ell=3).tolist() == [1, 0, 1]
 
 
 def test_symbol_pack_block():
-    bits = symbol_pack(np.array([5, 1]), ell=3)
+    bits = _symbol_bits(np.array([5, 1]), ell=3)
     assert bits.tolist() == [1, 0, 1, 1, 0, 0]
 
 
 def test_symbol_pack_range_check():
+    y1 = Batch1Outcome(np.zeros(2, dtype=np.uint8))
+    y2 = Batch2Outcome(np.array([5, 1]), ell=3)
+    y2.symbols = np.array([8, 1])
     with pytest.raises(InvalidInput):
-        symbol_pack(8, ell=3)
+        outcomes_to_bytes(y1, y2)
 
 
 def test_pack_unpack_exhaustive():
     for ell in range(2, 9):
         syms = np.arange(2**ell)
-        back = symbol_unpack(symbol_pack(syms, ell), ell)
-        assert np.array_equal(back, syms)
+        bits = _symbol_bits(syms, ell)
+        assert bits.size == syms.size * ell
+        assert np.array_equal(_bit_symbols(bits, ell), syms)
 
 
 def test_unpack_length_check():
-    with pytest.raises(InvalidInput):
-        symbol_unpack(np.zeros(7, dtype=np.uint8), ell=3)
+    # 2 symbols at ell = 3 take 6 bits, one byte; a blob whose batch-2
+    # body lacks that byte is refused
+    y1 = Batch1Outcome(np.zeros(2, dtype=np.uint8))
+    blob = outcomes_to_bytes(y1, Batch2Outcome(np.array([5, 1]), ell=3))
+    with pytest.raises(MalformedResultFile):
+        outcomes_from_bytes(blob[:-1])
 
 
 @settings(max_examples=50)

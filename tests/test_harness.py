@@ -114,24 +114,18 @@ def test_config_from_json_round_trip():
 
 def test_classify_failure_precedence():
     d = np.array([3, 9])
-    assert classify_failure(True, d, np.array([1, 5]), np.array([1, 5]), {3, 9}) == "none"
+    assert classify_failure(True, d, np.array([1, 5]), np.array([1, 5])) == "none"
     # duplicate assignment wins over everything else
     assert (
-        classify_failure(False, d, np.array([4, 4]), np.array([4]), set())
+        classify_failure(False, d, np.array([4, 4]), np.array([4]))
         == "duplicate-assignment"
     )
+    assert classify_failure(False, d, np.array([1, 5]), np.array([1])) == "string-miss"
     assert (
-        classify_failure(False, d, np.array([1, 5]), np.array([1]), set())
-        == "string-miss"
-    )
-    assert (
-        classify_failure(False, d, np.array([1, 5]), np.array([1, 2, 5]), set())
+        classify_failure(False, d, np.array([1, 5]), np.array([1, 2, 5]))
         == "string-extra"
     )
-    assert (
-        classify_failure(False, d, np.array([1, 5]), np.array([1, 5]), {3})
-        == "code-failure"
-    )
+    assert classify_failure(False, d, np.array([1, 5]), np.array([1, 5])) == "code-failure"
 
 
 def test_run_trial_deterministic():

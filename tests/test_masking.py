@@ -20,18 +20,17 @@ from bitmix.masking import (
     STATUS_SMALLK,
     STATUS_UNVERIFIED,
     MaskingSet,
-    MaskingString,
     _string_stats,
     build_lcs,
     build_smallk_set,
     check_lcs_conditions_all,
-    collisions,
     construct_candidate,
-    pairwise_collisions,
     smallk_pairs_ok,
     verify_promising,
 )
 from bitmix.params import REGIME_SMALLK, SchemeParams, derive_params
+
+from oracle import MaskingString, collision_matrix, collisions
 
 
 def _params(n, k, w, ell, c1=4, s_size=4, xi=0.0):
@@ -41,6 +40,8 @@ def _params(n, k, w, ell, c1=4, s_size=4, xi=0.0):
         t1=c1 * k * w, t2=ell * c1 * k * w, xi=xi,
     )
 
+
+# --- the scalar collision reference in oracle.py ---------------------------
 
 def test_string_basics():
     s = MaskingString(np.array([1, 3, 0, 2]), segment_len=4)
@@ -86,49 +87,6 @@ def test_dense_sparse_equivalence_exhaustive():
             assert int(a.to_bits() @ b.to_bits()) == collisions(a, b)
 
 
-def test_pairwise_collisions_matches_scalar():
-    rng = np.random.default_rng(3)
-    offsets = rng.integers(0, 6, size=(7, 5))
-    mat = pairwise_collisions(offsets)
-    assert mat.shape == (7, 7)
-    assert np.array_equal(mat, mat.T)
-    for i in range(7):
-        assert mat[i, i] == 5
-        for j in range(7):
-            if i != j:
-                assert mat[i, j] == int(np.count_nonzero(offsets[i] == offsets[j]))
-
-
-def test_pairwise_collisions_blocked_path():
-    # large enough that the blocked accumulation kicks in; spot-check entries
-    rng = np.random.default_rng(4)
-    offsets = rng.integers(0, 40, size=(300, 200))
-    mat = pairwise_collisions(offsets)
-    for i, j in [(0, 299), (17, 143), (250, 251)]:
-        assert mat[i, j] == int(np.count_nonzero(offsets[i] == offsets[j]))
-
-
-def test_pairwise_collisions_rejects_malformed_offsets():
-    for bad in (
-        np.array([0, 1, 2]),  # one string, not a (strings x segments) array
-        np.zeros((2, 3, 4), dtype=np.int64),
-        np.array([[0, 1], [-1, 0]]),  # negative offset
-        np.array([[0.0, 1.0], [1.0, 0.0]]),  # not integers
-    ):
-        with pytest.raises(InvalidInput):
-            pairwise_collisions(bad)
-
-
-def test_pairwise_collisions_counts_in_a_narrow_type():
-    # uint16 holds any count up to w = 65535; wider strings need int32, or
-    # counts past 65535 would wrap
-    assert pairwise_collisions(np.zeros((3, 65535), dtype=np.int32)).dtype == np.uint16
-    mat = pairwise_collisions(np.zeros((3, 65536), dtype=np.int32))
-    assert mat.dtype == np.int32
-    assert (mat == 65536).all()
-    assert pairwise_collisions(np.zeros((0, 5), dtype=np.int32)).shape == (0, 0)
-    assert (pairwise_collisions(np.zeros((2, 0), dtype=np.int32)) == 0).all()
-
 def test_construct_candidate_deterministic():
     p = derive_params(2**16, 5)
     a = construct_candidate(p, seed=41)
@@ -146,7 +104,7 @@ def test_mean_collisions_near_target():
     # sits within 10% of w/(4k)
     p = derive_params(2**20, 10)
     mset = construct_candidate(p, seed=0)
-    mat = pairwise_collisions(mset.offsets).astype(np.float64)
+    mat = collision_matrix(mset.offsets).astype(np.float64)
     np.fill_diagonal(mat, np.nan)
     mean = np.nanmean(mat)
     target = p.w / (4 * p.k)
@@ -161,9 +119,28 @@ def test_flat_positions():
     assert flat.shape == (2, 4)
     assert list(flat[0]) == [0, 9, 18, 27]
     assert list(flat[1]) == [7, 8, 21, 25]
-    assert mset.string(1).weight == 4
-    with pytest.raises(IndexOutOfRange):
-        mset.string(2)
+
+
+@pytest.mark.parametrize(
+    "offsets, status, error",
+    [
+        (np.array([[0, 1, 2, 3], [7, 0, 5, 1]]) + 0.7, "unverified", InvalidInput),
+        (np.array([[0.0, 1.0, 2.0, 3.0], [7.0, 0.0, 5.0, 1.0]]), "unverified", InvalidInput),
+        (np.array([["0", "1", "2", "3"], ["7", "0", "5", "1"]]), "unverified", InvalidInput),
+        (np.array([[0, 1, 2, 3], [7, 0, 5, 8]]), "unverified", InvalidInput),
+        (np.array([[0, 1, 2, 3], [7, 0, 5, -1]]), "unverified", InvalidInput),
+        (np.array([[0, 1, 2, 3], [7, 0, 5, 2**32]]), "unverified", InvalidInput),
+        (np.array([[0, 1, 2, 3]]), "unverified", ShapeMismatch),
+        (np.array([[0, 1, 2, 3], [7, 0, 5, 1]]), "certified", InvalidInput),
+    ],
+    ids=["fraction", "float", "string", "too-large", "negative", "wraps-int32",
+         "shape", "status"],
+)
+def test_masking_set_refuses_malformed_offsets(offsets, status, error):
+    # checked before the int32 cast: no float is truncated and no offset wraps
+    p = _params(n=16, k=2, w=4, ell=3, s_size=2)
+    with pytest.raises(error):
+        MaskingSet(offsets, p, seed=0, status=status)
 
 
 # --- the collision certificate -------------------------------------------
@@ -186,7 +163,7 @@ def _equal_collision_set():
 
 def test_verify_passes_on_exact_set():
     mset = _equal_collision_set()
-    mat = pairwise_collisions(mset.offsets)
+    mat = collision_matrix(mset.offsets)
     np.fill_diagonal(mat, 10)
     assert (mat == 10).all()
 
@@ -472,7 +449,7 @@ def test_extended_exact_set_still_passes():
     base = _equal_collision_set()
     p = _params(n=16, k=1, w=4 * base.params.w, ell=8, s_size=3)
     ext = MaskingSet(np.tile(base.offsets, (1, 4)), p, seed=0, status=STATUS_UNVERIFIED)
-    assert np.array_equal(pairwise_collisions(ext.offsets), 4 * pairwise_collisions(base.offsets))
+    assert np.array_equal(collision_matrix(ext.offsets), 4 * collision_matrix(base.offsets))
     assert verify_promising(ext).passed
 
 
@@ -482,7 +459,7 @@ def test_build_smallk():
     p = derive_params(2**16, 2, regime=REGIME_SMALLK)
     mset = build_smallk_set(p, seed=1)
     assert mset.status == STATUS_SMALLK
-    mat = pairwise_collisions(mset.offsets)
+    mat = collision_matrix(mset.offsets)
     np.fill_diagonal(mat, 0)
     assert (2 * p.k * mat <= p.w).all()
     again = build_smallk_set(p, seed=1)
@@ -550,7 +527,7 @@ def test_conditions_empty_and_errors():
 def _conditions_by_scalar_collisions(mset, chosen):
     # the definition, one string pair at a time
     w = mset.params.w
-    strings = [mset.string(i) for i in range(len(mset))]
+    strings = [MaskingString(o, mset.params.segment_len) for o in mset.offsets]
     total = [sum(collisions(strings[s], strings[c]) for c in chosen) for s in range(len(mset))]
     cond1 = all(2 * total[s] <= w for s in range(len(mset)) if s not in chosen)
     cond2 = all(
