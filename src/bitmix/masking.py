@@ -9,7 +9,9 @@ set-quality notions are statistics of pairwise collision counts:
   defectives' strings must collide with each other, and every outside string
   with the defective multiset, in at most w/2 positions total.  A string's
   total is its score (`MaskingSet.scores`) on the multiset's position usage
-  (`MaskingSet.usage`), so no pair is counted one by one.
+  (`MaskingSet.usage`), so no pair is counted one by one.  The cached
+  positions are int32 below t1 = 2^31 (4 |S| w bytes), the usage counts
+  uint8 up to 255 strings, and a check gathers them about 0.6 MB at a time.
 
 * The deterministic certificate (`verify_promising`): for every string, the
   collision counts against the other |S|-1 strings must have mean within 4%
@@ -67,6 +69,10 @@ _FIRST = 4
 _READS = 16
 _SCAN = 32
 
+# Positions that MaskingSet.scores gathers at a time: numpy gathers through
+# an int64 copy of int32 indices, 512 KB at this size.
+_GATHER = 1 << 16
+
 # Strings whose collisions with the later strings _collision_blocks counts in
 # one bincount: the rows of one block of the collision counts.
 _PAIR_ROWS = 16
@@ -94,17 +100,37 @@ class MaskingSet:
 
     @cached_property
     def flat_positions(self) -> np.ndarray:
-        """(s_size, w) global bit positions of each string's 1s (cached)."""
-        seg = np.arange(self.params.w, dtype=np.int64) * self.params.segment_len
-        return self.offsets.astype(np.int64) + seg[None, :]
+        """(s_size, w) global bit positions of each string's 1s (cached).
+
+        int32 when every position fits (t1 < 2^31), else int64: 4 |S| w
+        bytes at every desk-scale size, half what int64 would hold.
+        """
+        dtype = np.int32 if self.params.t1 < 2**31 else np.int64
+        seg = np.arange(self.params.w, dtype=dtype) * self.params.segment_len
+        return self.offsets.astype(dtype, copy=False) + seg[None, :]
 
     def usage(self, strings) -> np.ndarray:
-        """(t1,) how many of the given strings (repeats counted) have a 1 at each position."""
-        return np.bincount(self.flat_positions[strings].ravel(), minlength=self.params.t1)
+        """(t1,) how many of the given strings (repeats counted) have a 1 at each position.
+
+        The counts come in the narrowest unsigned type that holds len(strings),
+        so that scores() of them gathers 1 byte per position up to 255 strings.
+        """
+        counts = np.bincount(self.flat_positions[strings].ravel(), minlength=self.params.t1)
+        return counts.astype(np.min_scalar_type(len(strings)))
 
     def scores(self, vec) -> np.ndarray:
-        """(s_size,) s^T vec for every string s: vec summed over its positions."""
-        return vec[self.flat_positions].sum(axis=1, dtype=np.int64)
+        """(s_size,) s^T vec for every string s: vec summed over its positions.
+
+        Gathers _GATHER positions at a time, so beyond the int64 result it
+        holds at most 8 + vec.itemsize bytes per gathered position: about
+        0.6 MB for a uint8 vec from usage().  Each row sums in int64.
+        """
+        flat = self.flat_positions
+        rows = max(1, _GATHER // self.params.w)
+        out = np.empty(len(self), dtype=np.int64)
+        for lo in range(0, len(self), rows):
+            out[lo:lo + rows] = vec.take(flat[lo:lo + rows]).sum(axis=1, dtype=np.int64)
+        return out
 
     def reaching(self, vec, threshold: int) -> np.ndarray:
         """Indices (ascending) of the strings s with s^T vec >= threshold.
@@ -127,7 +153,10 @@ class MaskingSet:
         lo, hi = 0, max(0, w - threshold // cap) + _FIRST
         while lo < w and alive.size:
             hi = min(hi, w)
-            score += vec[flat[alive, lo:hi]].sum(axis=1, dtype=np.int64)
+            # take() gathers faster than indexing with int32 positions, and
+            # while every string is alive a column slice needs no row gather.
+            part = flat[:, lo:hi] if alive.size == len(self) else flat[alive, lo:hi]
+            score += vec.take(part).sum(axis=1, dtype=np.int64)
             keep = score + cap * (w - hi) >= threshold
             alive, score = alive[keep], score[keep]
             lo, hi = hi, hi + max(_SCAN, _READS * len(self) // max(1, alive.size))
@@ -347,12 +376,12 @@ def build_smallk_set(
 
 
 def _validate_chosen(mset: MaskingSet, chosen) -> np.ndarray:
-    chosen = np.asarray(chosen, dtype=np.int64)
-    if chosen.ndim != 1:
-        raise InvalidInput("chosen must be a flat sequence of string indices")
-    if chosen.size and (chosen.min() < 0 or chosen.max() >= len(mset)):
+    chosen = np.asarray(chosen)
+    if chosen.dtype.kind in "iu" and chosen.size and (
+        chosen.min() < 0 or chosen.max() >= len(mset)
+    ):
         raise IndexOutOfRange(f"chosen indices outside [0, {len(mset)})")
-    return chosen
+    return checked_array("chosen string indices", chosen, 1, len(mset), np.int64)
 
 
 def check_lcs_conditions_all(mset: MaskingSet, chosen) -> dict:

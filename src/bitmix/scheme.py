@@ -51,7 +51,7 @@ class Assignment:
     s_size: int
 
     def index_of(self, items) -> np.ndarray:
-        items = np.atleast_1d(np.asarray(items, dtype=np.uint64))
+        items = checked_array("items", np.atleast_1d(np.asarray(items)), 1, 1 << 64, np.uint64)
         key = np.uint64(mix64((self.seed * GOLDEN64) & ((1 << 64) - 1)))
         h = mix64_array((items + np.uint64(1)) * np.uint64(GOLDEN64) + key)
         return (h % np.uint64(self.s_size)).astype(np.int64)
@@ -82,14 +82,19 @@ def batch1_threshold(params: SchemeParams) -> int:
     return math.ceil((2.0 * params.w / params.c1 + params.w) / 2.0)
 
 
-def _validate_defectives(defectives: np.ndarray, params: SchemeParams) -> None:
+def _checked_defectives(defectives, params: SchemeParams) -> np.ndarray:
+    """defectives as int64 item indices, refused unless <= k distinct integers in [1, n]."""
+    defectives = checked_array(
+        "defectives", np.atleast_1d(np.asarray(defectives)), 1, params.n + 1, np.int64
+    )
     if defectives.size > params.k:
         raise InvalidInput(f"|K| = {defectives.size} exceeds k = {params.k}")
     if defectives.size:
-        if defectives.min() < 1 or defectives.max() > params.n:
+        if defectives.min() < 1:
             raise InvalidInput("defective indices must lie in [1, n]")
         if np.unique(defectives).size != defectives.size:
             raise InvalidInput("defective set contains repeats")
+    return defectives
 
 
 def simulate_outcomes(
@@ -105,14 +110,14 @@ def simulate_outcomes(
     xi > 0 (flips for batch 1 are drawn before batch 2).  Cost O(|K| w).
     """
     params = mset.params
-    defectives = np.atleast_1d(np.asarray(defectives, dtype=np.int64))
-    _validate_defectives(defectives, params)
+    defectives = _checked_defectives(defectives, params)
 
     y1 = np.zeros(params.t1, dtype=np.uint8)
     symbols = np.zeros(params.t1, dtype=np.int64)
     if defectives.size:
         string_idx = assignment.index_of(defectives)
-        positions = mset.flat_positions[string_idx]
+        # intp: numpy scatters through int32 indices about twice as slowly.
+        positions = mset.flat_positions[string_idx].astype(np.intp)
         y1[positions.ravel()] = 1
         for row, item in enumerate(defectives):
             symbols[positions[row]] |= codebook.encode_index(int(item))
@@ -151,8 +156,9 @@ def identify_items(
     """
     string_list = np.asarray(string_list, dtype=np.int64)
     positions = mset.flat_positions[string_list]
-    erased = mset.usage(string_list)[positions] > 1  # a string never repeats a position
-    words = np.where(erased, ERASURE, y2.symbols[positions])
+    # A string never repeats a position, so a count above 1 is a collision.
+    erased = np.bincount(positions.ravel(), minlength=mset.params.t1).take(positions) > 1
+    words = np.where(erased, ERASURE, y2.symbols.take(positions))
     items, errors = codebook.decode_words(words, noisy)
     estimate = {item for item in items if item is not None}
     failures = [
@@ -233,6 +239,8 @@ def outcomes_to_bytes(y1: Batch1Outcome, y2: Batch2Outcome) -> bytes:
     t1 = y1.bits.size
     if y2.symbols.size != t1:
         raise InvalidInput("batch sizes disagree")
+    if y2.ell > 0xFFFF:
+        raise InvalidInput(f"ell = {y2.ell} exceeds 65535, the largest the outcome header holds")
     header = _HEADER.pack(OUTCOME_MAGIC, OUTCOME_VERSION, y2.ell, t1)
     body1 = np.packbits(y1.bits, bitorder="little").tobytes()
     body2 = np.packbits(_symbol_bits(y2.symbols, y2.ell), bitorder="little").tobytes()

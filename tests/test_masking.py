@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,41 @@ def test_flat_positions():
     assert flat.shape == (2, 4)
     assert list(flat[0]) == [0, 9, 18, 27]
     assert list(flat[1]) == [7, 8, 21, 25]
+
+
+
+@pytest.mark.parametrize("n, k, xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)])
+def test_flat_positions_are_int32_on_the_benchmark_cells(n, k, xi):
+    p = derive_params(n, k, xi=xi)
+    mset = construct_candidate(p, seed=1)
+    flat = mset.flat_positions
+    assert flat.dtype == np.int32
+    seg = np.arange(p.w, dtype=np.int64) * p.segment_len
+    assert np.array_equal(flat, mset.offsets.astype(np.int64) + seg)
+
+
+def test_flat_positions_are_int64_beyond_int32():
+    # t1 = 4 * 2^26 * 16 = 2^32 positions; usage() and scores() are not
+    # called, since a count vector of t1 entries would take 16 GB
+    p = _params(n=2**40, k=2**26, w=16, ell=5, c1=4, s_size=1)
+    assert p.t1 == 2**32
+    offsets = np.array([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 2**28 - 1]])
+    flat = MaskingSet(offsets, p, seed=0).flat_positions
+    assert flat.dtype == np.int64
+    assert int(flat[0, -1]) == 2**32 - 1
+    assert np.array_equal(flat[0], offsets[0] + np.arange(16, dtype=np.int64) * 2**28)
+
+
+@pytest.mark.parametrize("repeats, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16),
+                                            (300, np.uint16)])
+def test_usage_counts_in_the_narrowest_type(repeats, dtype):
+    p = derive_params(2**10, 2)
+    mset = construct_candidate(p, seed=3)
+    chosen = np.random.default_rng(repeats).integers(0, p.s_size, size=repeats)
+    got = mset.usage(chosen)
+    assert got.dtype == dtype
+    expect = np.bincount(mset.flat_positions[chosen].ravel(), minlength=p.t1)
+    assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize(
@@ -522,6 +558,8 @@ def test_conditions_empty_and_errors():
         check_lcs_conditions_all(mset, [-1, 0])
     with pytest.raises(InvalidInput):
         check_lcs_conditions_all(mset, [[0], [1]])
+    with pytest.raises(InvalidInput):
+        check_lcs_conditions_all(mset, [0.7, 1.2])
 
 
 def _conditions_by_scalar_collisions(mset, chosen):
@@ -552,6 +590,50 @@ def test_conditions_match_scalar_collisions(alphabet, w, s_size):
         assert got == _conditions_by_scalar_collisions(mset, chosen), (trial, chosen)
         seen.add((got["cond1"], got["cond2_all"]))
     assert len(seen) >= 3
+
+
+def _conditions_by_collision_matrix(mset, chosen):
+    # the definition, from the whole |S| x |S| collision matrix
+    w, c = mset.params.w, collision_matrix(mset.offsets)
+    total = c[:, chosen].sum(axis=1)
+    outside = np.setdiff1d(np.arange(len(mset)), chosen)
+    return {"cond1": bool((2 * total[outside] <= w).all()),
+            "cond2_all": bool((2 * (total[chosen] - w) <= w).all())}
+
+
+@pytest.mark.parametrize("size", [2, 5, 255, 256, 700])
+def test_conditions_match_the_oracle_on_multisets_with_repeats(size):
+    # past 255 strings the usage counts come as uint16; more draws than
+    # strings force repeats, and strings beyond the draws stay outside.
+    # Offsets from 2 to 8 values per segment put totals on either side of w/2.
+    p = _params(n=64, k=2, w=12, ell=4, s_size=40)
+    rng = np.random.default_rng(size)
+    seen = set()
+    for trial in range(30):
+        values = int(rng.integers(2, 9))
+        mset = MaskingSet(rng.integers(0, values, size=(40, 12)), p, seed=0)
+        chosen = rng.integers(0, int(rng.integers(1, 30)), size=size)
+        got = check_lcs_conditions_all(mset, chosen)
+        assert got == _conditions_by_collision_matrix(mset, chosen), trial
+        seen.add(tuple(got.values()))
+    if size == 2:
+        assert len(seen) >= 3
+
+
+def test_conditions_check_holds_two_bytes_per_string_position():
+    # int32 positions and uint8 usage counts: one check at (2^20, 20) holds
+    # at most 2 |S| w bytes beyond the cached positions
+    p = derive_params(2**20, 20)
+    mset = construct_candidate(p, seed=1)
+    mset.flat_positions
+    chosen = np.random.default_rng(0).choice(p.s_size, size=20, replace=False)
+    tracemalloc.start()
+    try:
+        check_lcs_conditions_all(mset, chosen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * p.s_size * p.w, peak
 
 
 def test_conditions_hold_for_distinct_draws():

@@ -116,6 +116,17 @@ def test_simulate_validation():
         simulate_outcomes([1, 2, 3], asg, mset, cb)  # k = 2
 
 
+
+@pytest.mark.parametrize("items", [[1.5, 7.9], [2.0], ["3"], [[1, 2]], [-1]])
+def test_items_must_be_integers(items):
+    # checked before the cast, so no float is truncated to an item
+    p, mset, cb, asg = _design(2**10, 2)
+    with pytest.raises(InvalidInput):
+        simulate_outcomes(items, asg, mset, cb)
+    with pytest.raises(InvalidInput):
+        asg.index_of(items)
+
+
 def test_simulate_noisy_requires_rng():
     p, mset, cb, asg = _design(2**16, 5, xi=0.05)
     with pytest.raises(InvalidInput):
@@ -389,6 +400,9 @@ def test_outcome_bytes_refuse_fields_set_out_of_range():
     y1.bits = 2 * y1.bits
     with pytest.raises(InvalidInput):
         outcomes_to_bytes(y1, Batch2Outcome(np.zeros(p.t1, dtype=np.int64), p.ell))
+    # the header holds ell in 16 bits
+    with pytest.raises(InvalidInput, match="65535"):
+        outcomes_to_bytes(Batch1Outcome([0]), Batch2Outcome([0], ell=70000))
 
 
 def test_outcome_bytes_rejects_corruption():
