@@ -24,7 +24,8 @@ set-quality notions are statistics of pairwise collision counts:
   that share a bucket.  Each block completes the statistics of its own
   strings, so the certificate returns at the block that holds the first
   violation.  Read to the end, the blocks cost about |S|^2 w / (2 c1*k)
-  increments for random offsets; memory is O(16 |S| + |S| w), never |S|^2.
+  increments for random offsets; memory is O(16 |S| + |S| w), never |S|^2,
+  and the |S| w part is two int32 arrays.
 
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
   w/(2k) times, checked over the same blocks up to the first pair above.
@@ -76,6 +77,10 @@ _GATHER = 1 << 16
 # Strings whose collisions with the later strings _collision_blocks counts in
 # one bincount: the rows of one block of the collision counts.
 _PAIR_ROWS = 16
+
+# Entries of the (w, |S|) bucket lists that _collision_blocks sorts and
+# places at a time: its int64 argsort scratch is 512 KB at this size.
+_LAYOUT = 1 << 16
 
 
 @dataclass
@@ -175,46 +180,55 @@ def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
 def _collision_blocks(offsets):
     """Yield (lo, block) with block[r, j] the collisions of strings lo+r and lo+j.
 
-    offsets is a non-empty (|S|, w) array of non-negative per-segment
-    offsets.  The blocks come in order, _PAIR_ROWS rows each, and hold the
-    strict upper triangle only: block[r, j] is 0 for j <= r, and the
-    columns of strings before lo are left out.  Two strings collide at
-    segment j only when they share the bucket (j, offset), so only those
+    offsets is a non-empty (|S|, w) integer array of non-negative
+    per-segment offsets.  The blocks come in order, _PAIR_ROWS rows each,
+    and hold the strict upper triangle only: block[r, j] is 0 for j <= r,
+    and the columns of strings before lo are left out.  Two strings collide
+    at segment j only when they share the bucket (j, offset), so only those
     pairs are counted: a stable argsort of each segment's offsets lists each
     bucket's strings in ascending order, every (string, segment) pairs with
     the strings listed after it in its bucket, and one bincount per block
     counts the pairs.  For uniform offsets over c1*k values that is about
     |S|^2 w / (2 c1*k) increments in all.  A caller that stops early does
-    only the work of the blocks it read.  A block holds
+    only the work of the blocks it read.  The only |S| w arrays are the
+    bucket lists and each string's place in them, int32 while every index
+    fits; they are sorted and placed _LAYOUT entries at a time, which bounds
+    the scratch of building them.  A block holds
     _PAIR_ROWS * (|S| - lo) int64 counts and lists about
     _PAIR_ROWS |S| w / (c1*k) pairs, so with c1*k >= _PAIR_ROWS a full pass
     needs O(_PAIR_ROWS |S| + |S| w) memory.
     """
     s, w = offsets.shape
-    # int32 indices when every position, pair code and block pair count fits.
-    idx = np.int32 if s * w * _PAIR_ROWS < 2**31 else np.int64
     span = int(offsets.max()) + 1
-    # The narrowest type: keys of 16 bits or less sort by radix.
-    by_segment = np.ascontiguousarray(offsets.T, dtype=np.min_scalar_type(span))
-    # Strings per bucket, with bucket (j, offset) keyed j*span + offset.
-    keys = by_segment.astype(np.min_scalar_type(w * span))
-    keys += np.arange(0, w * span, span, dtype=keys.dtype)[:, None]
-    sizes = np.bincount(keys.ravel(), minlength=w * span)
-    del keys
+    # int32 indices when every position, bucket key, pair code and block pair
+    # count fits.
+    idx = np.int32 if max(s * w * _PAIR_ROWS, w * span) < 2**31 else np.int64
     # members[j*|S| + rank]: segment j's strings, bucket by bucket, ascending;
-    # pos[j, i]: where string i stands in that list.
-    members = np.argsort(by_segment, axis=1, kind="stable").astype(idx)
-    del by_segment
-    pos = np.empty((w, s), dtype=idx)
-    np.put_along_axis(pos, members, np.arange(w * s, dtype=idx).reshape(w, s), axis=1)
-    members = members.ravel()
-    # Entries listed after each position in its bucket.
-    later = np.repeat(np.cumsum(sizes, dtype=idx), sizes)
-    later -= np.arange(1, later.size + 1, dtype=idx)
+    # pos[j, i]: where string i stands in that list; ends: the strings per
+    # bucket, then their running sum, with bucket (j, offset) keyed
+    # j*span + offset.
+    members = np.empty(w * s, dtype=idx)
+    pos = np.empty(w * s, dtype=idx)
+    ends = np.empty(w * span, dtype=idx)
+    step = max(1, _LAYOUT // s)
+    for j0 in range(0, w, step):
+        j1 = min(w, j0 + step)
+        # The narrowest type: keys of 16 bits or less sort by radix.
+        part = np.ascontiguousarray(offsets[:, j0:j1].T, dtype=np.min_scalar_type(span))
+        keys = part + np.arange(0, (j1 - j0) * span, span, dtype=idx)[:, None]
+        ends[j0 * span:j1 * span] = np.bincount(keys.ravel(), minlength=(j1 - j0) * span)
+        order = np.argsort(part, axis=1, kind="stable")
+        members[j0 * s:j1 * s] = order.ravel()
+        order += np.arange(j0 * s, j1 * s, s)[:, None]
+        pos[order.ravel()] = np.arange(j0 * s, j1 * s, dtype=idx)
+    pos = pos.reshape(w, s)
+    np.cumsum(ends, out=ends)
+    buckets = np.arange(0, w * span, span, dtype=idx)
     for lo in range(0, s, _PAIR_ROWS):
         hi, width = min(s, lo + _PAIR_ROWS), s - lo
         at_row = pos[:, lo:hi].T.ravel()
-        after = later[at_row]
+        # Entries listed after each of these in its bucket.
+        after = ends[(offsets[lo:hi] + buckets).ravel()] - at_row - 1
         first = np.cumsum(after, dtype=idx) - after
         at = np.arange(first[-1] + after[-1], dtype=idx)
         at += np.repeat(at_row + 1 - first, after)
@@ -222,6 +236,7 @@ def _collision_blocks(offsets):
         rows = np.arange(-lo, (hi - lo) * width - lo, width, dtype=idx)
         codes = np.repeat(rows.repeat(w), after)
         codes += members[at]
+        del at  # before bincount makes its intp copy of codes
         yield lo, np.bincount(codes, minlength=(hi - lo) * width).reshape(hi - lo, width)
 
 

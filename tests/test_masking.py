@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitmix import masking
-from bitmix.bundle import DesignBundle, _sha256, load_design, save_design
+from bitmix.bundle import DesignBundle, _sha256, build_design, load_design, save_design
 from bitmix.errors import (
     ConstructionFailed,
     CorruptDesignFile,
@@ -428,6 +428,25 @@ def test_certificate_reads_only_up_to_the_violating_block(monkeypatch):
     report = verify_promising(construct_candidate(derive_params(2**20, 20), seed=0))
     assert report.first_violation[0] == 0
     assert drawn == [1]
+
+
+def test_certificate_holds_its_bucket_lists_and_little_more():
+    # an i.i.d. (2^20, 20) design, as the benchmark builds, fails at string
+    # 0.  The bucket lists and each string's place in them take 2 * 4 |S| w
+    # bytes; the scratch of building them is bounded by _LAYOUT, and the
+    # first block holds a few int32 lists of _PAIR_ROWS |S| w / (c1 k) pairs.
+    # Measured: 2.8 * 4 |S| w; a layout built whole peaked at 4.1.
+    mset = build_design(2**20, 20, seed=1, verify=False).masking
+    p = mset.params
+    verify_promising(mset)
+    tracemalloc.start()
+    try:
+        report = verify_promising(mset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.first_violation[0] == 0
+    assert peak <= 3.25 * 4 * p.s_size * p.w, peak
 
 
 def test_verify_fails_on_duplicate():

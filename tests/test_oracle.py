@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -184,6 +185,106 @@ def test_bundle_load_rejects_wrong_format(tmp_path):
     path.write_text("{truncated")
     with pytest.raises(CorruptDesignFile):
         load_design(path)
+
+
+def _saved_payload(tmp_path, **kwargs) -> dict:
+    path = tmp_path / "design.json"
+    save_design(build_design(verify=False, **kwargs), path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda p: p.update(extra=1),
+        lambda p: p["masking"].update(extra=1),
+        lambda p: p["codebook"].update(extra=1),
+        lambda p: p.update(version=True),
+        lambda p: p.update(version=1.0),
+        lambda p: p["masking"].update(version=True),
+        lambda p: p["masking"].update(version=1.0),
+        lambda p: p["codebook"].update(w=float(p["codebook"]["w"])),
+        lambda p: p["codebook"].update(ell=float(p["codebook"]["ell"])),
+        lambda p: p["codebook"].update(m=float(p["codebook"]["m"])),
+        lambda p: p.update(assignment_seed=2**80),
+        lambda p: p["masking"].update(seed=-3),
+    ],
+    ids=["top-key", "masking-key", "codebook-key", "version-true", "version-float",
+         "masking-version-true", "masking-version-float", "codebook-w-float",
+         "codebook-ell-float", "codebook-m-float", "assignment-seed-2^80",
+         "masking-seed-negative"],
+)
+def test_bundle_load_refuses_fields_save_never_writes(tmp_path, spoil):
+    # re-hashed, so only the field itself can be refused
+    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del payload["sha256"]
+    spoil(payload)
+    payload["sha256"] = _sha256(payload)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptDesignFile, match="keys|version|seed|codebook"):
+        load_design(path)
+
+
+def _reference_sha256(payload) -> str:
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_spliced_hash_matches_the_canonical_json(tmp_path):
+    # _sha256 splices the offsets text in unescaped; on every payload it
+    # must equal the hash of json.dumps's canonical text
+    payloads = []
+    for kwargs in (dict(n=2**12, k=4, seed=3), dict(n=2**16, k=2, regime=REGIME_SMALLK)):
+        payload = _saved_payload(tmp_path, **kwargs)
+        recorded = payload.pop("sha256")
+        assert _sha256(payload) == recorded
+        payloads.append(payload)
+    for text in ("", "AA==", "AAA=", "AAAA"):  # "=" and "==" padding
+        payloads.append(copy.deepcopy(payloads[0]))
+        payloads[-1]["masking"]["offsets"] = text
+    look_alike = copy.deepcopy(payloads[0])
+    look_alike["masking"]["status"] = '"offsets":""'
+    look_alike["masking"]["params"]['"offsets":""'] = '"offsets":""'
+    look_alike["masking"]["params"]["offsets"] = ""
+    look_alike["offsets"] = "AB=="
+    look_alike["codebook"]["offsets"] = {"offsets": "\"\\\n\u00e9"}
+    payloads.append(look_alike)
+    for payload in payloads:
+        assert _sha256(payload) == _reference_sha256(payload)
+
+
+@pytest.mark.parametrize(
+    "offsets", ['AA"=', "AA\\=", "AA\n=", "AA\u00e9=", "A===", 1234, None, ["AAAA"]],
+    ids=["quote", "backslash", "newline", "non-ascii", "three-pads", "number", "null", "list"],
+)
+@pytest.mark.parametrize("rehash", [False, True])
+def test_offsets_text_must_be_base64(tmp_path, offsets, rehash):
+    # JSON would escape these, or cannot splice them: with the file's own
+    # hash or one over the spoiled canonical JSON, each is refused
+    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del payload["sha256"]
+    payload["masking"]["offsets"] = offsets
+    with pytest.raises(CorruptDesignFile):
+        _sha256(payload)
+    payload["sha256"] = _reference_sha256(payload) if rehash else "0" * 64
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptDesignFile):
+        load_design(path)
+
+
+@pytest.mark.parametrize(
+    "n,k,xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)],
+    ids=["clean-k10", "noisy-k10", "wide-k20"],
+)
+def test_saved_file_is_the_indented_json(tmp_path, n, k, xi):
+    # the file is written in pieces around the offsets text; its bytes are
+    # still json.dumps's, at the benchmark's cells
+    path = tmp_path / "design.json"
+    save_design(build_design(n, k, xi=xi, seed=1, verify=False), path)
+    payload = json.loads(path.read_text())
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
 
 
 @pytest.mark.parametrize(
