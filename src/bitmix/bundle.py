@@ -6,12 +6,13 @@ on another machine.  The bundle is the only persisted design format: JSON
 with the params, the base64 string offsets and a sha256 over the canonical
 payload; any edit (or a params/offsets mismatch), a key the format does not
 hold, or a count or seed that is not an integer in range surfaces as
-CorruptDesignFile.
+CorruptDesignFile, its message led by the file's path.
 
 The base64 offsets text is nearly the whole file (3.2 MB at (2^20, 20)), and
 JSON escapes none of its characters.  So it goes into the hash and the file
-as it is, between the JSON before and after it, and json.dumps never walks
-it; a load checks it while hashing and decodes it in one strict pass.
+as it is, between the JSON before and after it, which json.dumps lays out
+from the payload with a stand-in text (see _json_pieces); a load checks it
+while hashing and decodes it in one strict pass.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import Codebook
-from .errors import CorruptDesignFile, InvalidInput
+from .errors import BitmixError, CorruptDesignFile
 from .masking import (
     MaskingSet,
     build_lcs,
@@ -110,40 +111,25 @@ def build_design(
     return DesignBundle(mset, assign_seed)
 
 
-def _json_around(obj: dict, key: str, indent: int | None, level: int) -> tuple[str, str]:
-    """(head, tail) with head + json(obj[key]) + tail the sorted-key JSON of obj.
-
-    The JSON is json.dumps's with sort_keys and indent, and with the compact
-    separators when indent is None, for obj nested level deep.
-    """
-    key_sep = ":" if indent is None else ": "
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    close = "" if indent is None else "\n" + " " * (indent * level)
-
-    def item(k):
-        # JSON strings hold no raw newline, so every "\n" starts a line to indent.
-        text = json.dumps(obj[k], sort_keys=True, indent=indent, separators=(",", key_sep))
-        return json.dumps(k) + key_sep + text.replace("\n", pad)
-
-    keys = sorted(obj)
-    at = keys.index(key)
-    head = "{" + pad + "".join(item(k) + "," + pad for k in keys[:at]) + json.dumps(key) + key_sep
-    tail = "".join("," + pad + item(k) for k in keys[at + 1:]) + close + "}"
-    return head, tail
-
-
 def _json_pieces(payload: dict, indent: int | None = None) -> tuple[str, str, str]:
     """(head, offsets, tail): payload's sorted-key JSON, the masking offsets text unescaped.
 
-    They join to json.dumps's text (compact when indent is None) when the
-    offsets text is base64, which _sha256 checks.
+    json.dumps renders payload (compact when indent is None) once with the
+    offsets text "" and once with "A".  The two texts differ only inside
+    that string, so their common prefix is the head and the rest of the ""
+    text is the tail.  The pieces join to json.dumps's text of payload when
+    the offsets text is base64, which _sha256 checks.
     """
     masking = payload.get("masking")
     if not isinstance(masking, dict) or not isinstance(masking.get("offsets"), str):
         raise CorruptDesignFile("no masking offsets text in the design")
-    head, tail = _json_around(payload, "masking", indent, 0)
-    inner_head, inner_tail = _json_around(masking, "offsets", indent, 1)
-    return head + inner_head + '"', masking["offsets"], '"' + inner_tail + tail
+    empty, one = (
+        json.dumps({**payload, "masking": {**masking, "offsets": text}}, sort_keys=True,
+                   indent=indent, separators=(",", ":") if indent is None else None)
+        for text in ("", "A")
+    )
+    at = len(os.path.commonprefix([empty, one]))
+    return empty[:at], masking["offsets"], empty[at:]
 
 
 def _sha256(payload: dict) -> str:
@@ -165,21 +151,19 @@ def _sha256(payload: dict) -> str:
     return digest.hexdigest()
 
 
-def _integer(name: str, value, origin, low=None, high=None) -> int:
-    """value as an int in [low, high), else CorruptDesignFile naming it."""
-    try:
-        value = checked_integer(name, value, low)
-    except InvalidInput as exc:
-        raise CorruptDesignFile(f"{origin}: {exc}") from exc
-    if high is not None and value >= high:
-        raise CorruptDesignFile(f"{origin}: {name} must be below {high}, got {value}")
-    return value
+def _seed(name: str, value) -> int:
+    # Assignment reduces its seed mod 2^64, so a larger one would alias
+    # another; derive_seed, which makes both seeds, never gives one.
+    seed = checked_integer(name, value, low=0)
+    if seed >= 1 << 64:
+        raise CorruptDesignFile(f"{name} must be below {1 << 64}, got {seed}")
+    return seed
 
 
-def _check_keys(obj: dict, allowed: frozenset, what: str, origin) -> None:
+def _check_keys(obj: dict, allowed: frozenset, what: str) -> None:
     unknown = sorted(obj.keys() - allowed)
     if unknown:
-        raise CorruptDesignFile(f"{origin}: unknown keys {unknown} in the {what}")
+        raise CorruptDesignFile(f"unknown keys {unknown} in the {what}")
 
 
 def _canonical_payload(mset: MaskingSet) -> dict:
@@ -198,25 +182,21 @@ def _canonical_payload(mset: MaskingSet) -> dict:
     }
 
 
-def _masking_set_from_payload(payload, origin) -> MaskingSet:
+def _masking_set_from_payload(payload) -> MaskingSet:
     if not isinstance(payload, dict) or payload.get("format") != _SET_FORMAT:
-        raise CorruptDesignFile(f"{origin}: no masking set in the design")
-    if _integer("version", payload.get("version"), origin) != _SET_VERSION:
-        raise CorruptDesignFile(f"{origin}: unsupported version {payload.get('version')!r}")
-    _check_keys(payload, _SET_KEYS, "masking set", origin)
+        raise CorruptDesignFile("no masking set in the design")
+    if checked_integer("version", payload.get("version")) != _SET_VERSION:
+        raise CorruptDesignFile(f"unsupported version {payload.get('version')!r}")
+    _check_keys(payload, _SET_KEYS, "masking set")
     dtype = payload.get("offsets_dtype", "<u2")
     if dtype not in ("<u2", "<u4"):
-        raise CorruptDesignFile(f"{origin}: unsupported offsets dtype {dtype!r}")
-    try:
-        params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
-        # One strict pass, which also refuses padding in the wrong place.
-        raw = base64.b64decode(payload["offsets"], validate=True)
-        offsets = np.frombuffer(raw, dtype=dtype).astype(np.int32)
-        offsets = offsets.reshape(params.s_size, params.w)
-        seed = checked_integer("seed", payload["seed"], low=0)
-        return MaskingSet(offsets, params, seed, payload["status"])
-    except Exception as exc:
-        raise CorruptDesignFile(f"{origin}: inconsistent content ({exc})") from exc
+        raise CorruptDesignFile(f"unsupported offsets dtype {dtype!r}")
+    params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
+    # One strict pass, which also refuses padding in the wrong place.
+    raw = base64.b64decode(payload["offsets"], validate=True)
+    offsets = np.frombuffer(raw, dtype=dtype).astype(np.int32)
+    offsets = offsets.reshape(params.s_size, params.w)
+    return MaskingSet(offsets, params, _seed("seed", payload["seed"]), payload["status"])
 
 
 def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
@@ -243,31 +223,28 @@ def load_design(path: str | os.PathLike) -> DesignBundle:
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CorruptDesignFile(f"cannot read design from {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
-        raise CorruptDesignFile(f"{path}: not a design file")
-    if _integer("version", payload.get("version"), path) != _BUNDLE_VERSION:
-        raise CorruptDesignFile(f"{path}: unsupported version {payload.get('version')!r}")
-    recorded = payload.pop("sha256", None)
-    try:
-        digest = _sha256(payload)
-    except CorruptDesignFile as exc:
+        return _bundle_from_payload(payload)
+    except (BitmixError, OSError, ValueError, KeyError, TypeError) as exc:
         raise CorruptDesignFile(f"{path}: {exc}") from exc
-    if recorded != digest:
-        raise CorruptDesignFile(f"{path}: content hash mismatch")
-    _check_keys(payload, _BUNDLE_KEYS, "design", path)
-    mset = _masking_set_from_payload(payload["masking"], path)
+
+
+def _bundle_from_payload(payload) -> DesignBundle:
+    if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
+        raise CorruptDesignFile("not a design file")
+    if checked_integer("version", payload.get("version")) != _BUNDLE_VERSION:
+        raise CorruptDesignFile(f"unsupported version {payload.get('version')!r}")
+    if payload.pop("sha256", None) != _sha256(payload):
+        raise CorruptDesignFile("content hash mismatch")
+    _check_keys(payload, _BUNDLE_KEYS, "design")
+    mset = _masking_set_from_payload(payload["masking"])
     cb = payload.get("codebook")
     if not isinstance(cb, dict):
-        raise CorruptDesignFile(f"{path}: no codebook object in the design")
-    _check_keys(cb, _CODEBOOK_KEYS, "codebook", path)
-    w, ell, m = (_integer(f"codebook {key}", cb.get(key), path) for key in ("w", "ell", "m"))
+        raise CorruptDesignFile("no codebook object in the design")
+    _check_keys(cb, _CODEBOOK_KEYS, "codebook")
+    w, ell, m = (checked_integer(f"codebook {key}", cb.get(key)) for key in ("w", "ell", "m"))
     if (w, ell) != (mset.params.w, mset.params.ell):
-        raise CorruptDesignFile(f"{path}: codebook shape disagrees with params")
-    # Assignment reduces its seed mod 2^64, so a larger one would alias another.
-    seed = _integer("assignment_seed", payload.get("assignment_seed"), path, 0, 1 << 64)
-    bundle = DesignBundle(mset, seed)
+        raise CorruptDesignFile("codebook shape disagrees with params")
+    bundle = DesignBundle(mset, _seed("assignment_seed", payload.get("assignment_seed")))
     if m != bundle.codebook.m:
-        raise CorruptDesignFile(f"{path}: codebook message length disagrees with n")
+        raise CorruptDesignFile("codebook message length disagrees with n")
     return bundle

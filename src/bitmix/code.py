@@ -44,7 +44,6 @@ DecodingFailure) rather than a silently wrong item.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -57,6 +56,7 @@ from .errors import (
     TooManyErasures,
 )
 from .gf import GF2m, get_field
+from .params import message_length
 
 ERASURE = -1
 
@@ -92,7 +92,7 @@ class Codebook:
         self.w = w
         self.ell = ell
         self.q = 1 << ell
-        self.m = max(1, math.ceil(math.log2(n) / ell))
+        self.m = message_length(n, ell)
         if self.m > w:
             raise InvalidInput("message length m exceeds block length w")
         self.field: GF2m = get_field(ell)

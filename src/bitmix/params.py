@@ -139,8 +139,8 @@ class SchemeParams:
 
     @property
     def m(self) -> int:
-        """Code message length in symbols: ceil(log2 n / ell), at least 1."""
-        return max(1, math.ceil(_log2_int(self.n) / self.ell))
+        """Code message length in symbols (see message_length)."""
+        return message_length(self.n, self.ell)
 
     @property
     def q(self) -> int:
@@ -165,9 +165,19 @@ class SchemeParams:
         return from_json_object(cls, obj, "a params object", regime=regime)
 
 
+def message_length(n: int, ell: int) -> int:
+    """The fewest ell-bit symbols that number n items: ceil(log2 n / ell), at least 1.
+
+    Exact in integers: in floats log2(2^b + 1) rounds to b from b = 49 on, one
+    symbol short when ell divides b, so two items would share a codeword.
+    n may be a numpy integer, which has no bit_length.
+    """
+    return max(1, math.ceil((int(n) - 1).bit_length() / ell))
+
+
 def _log2_int(n: int) -> float:
-    # math.log2 on huge ints stays exact enough for ceilings because n is
-    # always a Python int here; avoid float conversion overflow for n >= 2^1024.
+    # log2 n for the sizing formulas (message_length counts digits exactly);
+    # avoids float conversion overflow for n >= 2^1024.
     if n < (1 << 53):
         return math.log2(n)
     hi = n.bit_length() - 53
@@ -176,7 +186,7 @@ def _log2_int(n: int) -> float:
 
 def _w_for_ell(n: int, k: int, delta: float, ell: int) -> int:
     log2n = _log2_int(n)
-    m = max(1, math.ceil(log2n / ell))
+    m = message_length(n, ell)
     w_code = math.ceil(3.0 * log2n / ell)
     w_conc = math.ceil(70.0 * math.log(k / delta))
     return max(w_code, w_conc, 2 * m, 1)
@@ -236,8 +246,7 @@ def derive_params(
 
     c1 = 4
     if xi > 0.0:
-        m = max(1, math.ceil(_log2_int(n) / ell))
-        rate = m / w
+        rate = message_length(n, ell) / w
         c1 = None
         for cand in range(4, _MAX_C1 + 1):
             if xi + 2.0 / cand + _NOISY_MARGIN < 0.5 * (1.0 - rate):

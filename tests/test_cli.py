@@ -32,6 +32,21 @@ def test_verify_set_fails_on_unverified_general(tmp_path, capsys):
     assert "first violation" in out
 
 
+def test_verify_set_refuses_a_missing_or_edited_design(tmp_path, capsys):
+    missing = tmp_path / "none.json"
+    assert main(["verify-set", "--design", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {missing}:")
+    # one offsets character changed, still base64: the content hash fails
+    path = tmp_path / "design.json"
+    save_design(build_design(2**12, 4, seed=3, verify=False), path)
+    text = path.read_text()
+    at = text.index('"offsets": "') + len('"offsets": "')
+    path.write_text(text[:at] + ("B" if text[at] == "A" else "A") + text[at + 1:])
+    assert main(["verify-set", "--design", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "hash" in err
+
+
 def test_build_design_missing_args(capsys):
     rc = main(["build-design", "--out", "/tmp/x.json"])
     assert rc == 2

@@ -42,6 +42,7 @@ def test_encode_index_bounds():
     with pytest.raises(IndexOutOfRange):
         cb.encode_index(101)
     cb.encode_index(100)  # boundary is valid
+    assert Codebook(n=np.int64(100), w=10, ell=4).m == cb.m
 
 
 def test_codewords_distinct_small():
@@ -64,13 +65,15 @@ def test_mds_distance_exhaustive_tiny():
 def test_erasure_round_trip_random():
     cb = Codebook(n=2**20, w=381, ell=9)
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        i = int(rng.integers(1, cb.n + 1))
-        word = cb.encode_index(i).copy()
-        f = int(rng.integers(0, cb.w - cb.m + 1))
-        drop = rng.choice(cb.w, size=f, replace=False)
+    draws = ((cb, int(rng.integers(1, cb.n + 1))) for _ in range(200))
+    # at n = 2^54 + 1 a float log2 n gives m = 6, and item n's word is item 1's
+    big = Codebook(n=2**54 + 1, w=381, ell=9)
+    for code, i in itertools.chain(draws, [(big, big.n), (big, 1)]):
+        word = code.encode_index(i).copy()
+        f = int(rng.integers(0, code.w - code.m + 1))
+        drop = rng.choice(code.w, size=f, replace=False)
         word[drop] = ERASURE
-        assert cb.decode_erasures(word) == i
+        assert code.decode_erasures(word) == i
 
 
 def test_erasure_limit():

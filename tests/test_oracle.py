@@ -208,11 +208,12 @@ def _saved_payload(tmp_path, **kwargs) -> dict:
         lambda p: p["codebook"].update(m=float(p["codebook"]["m"])),
         lambda p: p.update(assignment_seed=2**80),
         lambda p: p["masking"].update(seed=-3),
+        lambda p: p["masking"].update(seed=2**64),
     ],
     ids=["top-key", "masking-key", "codebook-key", "version-true", "version-float",
          "masking-version-true", "masking-version-float", "codebook-w-float",
          "codebook-ell-float", "codebook-m-float", "assignment-seed-2^80",
-         "masking-seed-negative"],
+         "masking-seed-negative", "masking-seed-2^64"],
 )
 def test_bundle_load_refuses_fields_save_never_writes(tmp_path, spoil):
     # re-hashed, so only the field itself can be refused
@@ -229,6 +230,52 @@ def test_bundle_load_refuses_fields_save_never_writes(tmp_path, spoil):
 def _reference_sha256(payload) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+_DELETE = object()
+_SPOILS = (_DELETE, None, True, 1.5, -1, 0, 2**70, "x", "", [], {}, [1], {"a": 1})
+# The only edits that still load: a field set to a value save_design could
+# have written, or an offsets_dtype left out as by a file from before it was
+# written.
+_LEGITIMATE_LOADS = {
+    ("", "assignment_seed", 0),
+    ("masking", "offsets_dtype", "deleted"),
+    ("masking", "seed", 0),
+    ("masking.params", "xi", 0),
+}
+
+
+def test_bundle_load_refuses_every_other_field_edit(tmp_path):
+    # every key at every level deleted or set to each spoil, then re-hashed:
+    # each load is refused with a message naming the file, or is listed
+    saved = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del saved["sha256"]
+    path = tmp_path / "spoiled.json"
+    loads = set()
+    for where in ("", "codebook", "masking", "masking.params"):
+        for key in list(_reach(saved, where)):
+            for spoil in _SPOILS:
+                payload = copy.deepcopy(saved)
+                obj = _reach(payload, where)
+                if spoil is _DELETE:
+                    del obj[key]
+                else:
+                    obj[key] = spoil
+                payload["sha256"] = _reference_sha256(payload)
+                path.write_text(json.dumps(payload))
+                try:
+                    load_design(path)
+                except CorruptDesignFile as exc:
+                    assert str(exc).startswith(f"{path}: "), (where, key, spoil, exc)
+                else:
+                    loads.add((where, key, "deleted" if spoil is _DELETE else spoil))
+    assert loads == _LEGITIMATE_LOADS
+
+
+def _reach(payload: dict, where: str) -> dict:
+    for key in filter(None, where.split(".")):
+        payload = payload[key]
+    return payload
 
 
 def test_spliced_hash_matches_the_canonical_json(tmp_path):

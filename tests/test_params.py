@@ -47,6 +47,9 @@ def test_general_m_tracks_n():
     assert derive_params(2**14, 10).m == 2
     assert derive_params(2**20, 10).m == 3
     assert derive_params(2**26, 10).m == 3
+    # log2(2^b + 1) rounds to b in floats: m must still count b + 1 bits
+    assert derive_params(2**54 + 1, 10).m == 7  # ell = 9
+    assert derive_params(2**60 + 1, 40).m == 7  # ell = 10
     # w is k-dominated across this whole range, so t1 is unchanged
     assert derive_params(2**14, 10).w == derive_params(2**26, 10).w == 381
 
