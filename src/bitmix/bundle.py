@@ -11,8 +11,9 @@ CorruptDesignFile, its message led by the file's path.
 The base64 offsets text is nearly the whole file (3.2 MB at (2^20, 20)), and
 JSON escapes none of its characters.  So it goes into the hash and the file
 as it is, between the JSON before and after it, which json.dumps lays out
-from the payload with a stand-in text (see _json_pieces); a load checks it
-while hashing and decodes it in one strict pass.
+from the payload with a stand-in text (see _json_pieces).  The text stays
+ASCII bytes from the encoder to the file, and on a load one ASCII copy of it
+is checked while hashing and decoded in one strict pass.
 """
 
 from __future__ import annotations
@@ -111,25 +112,36 @@ def build_design(
     return DesignBundle(mset, assign_seed)
 
 
-def _json_pieces(payload: dict, indent: int | None = None) -> tuple[str, str, str]:
+def _offsets_text(payload: dict) -> bytes:
+    """payload's masking offsets text as ASCII bytes; a non-ASCII character becomes "?"."""
+    masking = payload.get("masking")
+    text = masking.get("offsets") if isinstance(masking, dict) else None
+    if isinstance(text, str):
+        text = text.encode("ascii", "replace")
+    if not isinstance(text, bytes):
+        raise CorruptDesignFile("no masking offsets text in the design")
+    return text
+
+
+def _json_pieces(payload: dict, indent: int | None = None) -> tuple[str, bytes, str]:
     """(head, offsets, tail): payload's sorted-key JSON, the masking offsets text unescaped.
 
-    json.dumps renders payload (compact when indent is None) once with the
-    offsets text "" and once with "A".  The two texts differ only inside
-    that string, so their common prefix is the head and the rest of the ""
-    text is the tail.  The pieces join to json.dumps's text of payload when
-    the offsets text is base64, which _sha256 checks.
+    The offsets text may be a str or its ASCII bytes, and comes back as
+    bytes.  json.dumps renders payload (compact when indent is None) once
+    with the offsets text "" and once with "A".  The two texts differ only
+    inside that string, so their common prefix is the head and the rest of
+    the "" text is the tail.  The pieces join to json.dumps's text of
+    payload when the offsets text is base64, which _sha256 checks.
     """
-    masking = payload.get("masking")
-    if not isinstance(masking, dict) or not isinstance(masking.get("offsets"), str):
-        raise CorruptDesignFile("no masking offsets text in the design")
+    text = _offsets_text(payload)
+    masking = payload["masking"]
     empty, one = (
-        json.dumps({**payload, "masking": {**masking, "offsets": text}}, sort_keys=True,
+        json.dumps({**payload, "masking": {**masking, "offsets": stand_in}}, sort_keys=True,
                    indent=indent, separators=(",", ":") if indent is None else None)
-        for text in ("", "A")
+        for stand_in in ("", "A")
     )
     at = len(os.path.commonprefix([empty, one]))
-    return empty[:at], masking["offsets"], empty[at:]
+    return empty[:at], text, empty[at:]
 
 
 def _sha256(payload: dict) -> str:
@@ -140,8 +152,7 @@ def _sha256(payload: dict) -> str:
     the alphabet, then at most two '='.  Anything else, which JSON might
     escape, raises CorruptDesignFile.
     """
-    head, offsets, tail = _json_pieces(payload)
-    text = offsets.encode("ascii", "replace")  # non-ASCII becomes "?", refused below
+    head, text, tail = _json_pieces(payload)
     body = text.rstrip(b"=")
     if len(text) - len(body) > 2 or body.translate(None, _BASE64_ALPHABET):
         raise CorruptDesignFile("the masking offsets are not base64 text")
@@ -176,9 +187,8 @@ def _canonical_payload(mset: MaskingSet) -> dict:
         "seed": int(mset.seed),
         "status": mset.status,
         "offsets_dtype": dtype,
-        "offsets": base64.b64encode(
-            np.ascontiguousarray(mset.offsets, dtype=dtype).tobytes()
-        ).decode("ascii"),
+        # ASCII bytes, which _json_pieces takes as they are.
+        "offsets": base64.b64encode(np.ascontiguousarray(mset.offsets, dtype=dtype)),
     }
 
 
@@ -194,8 +204,7 @@ def _masking_set_from_payload(payload) -> MaskingSet:
     params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
     # One strict pass, which also refuses padding in the wrong place.
     raw = base64.b64decode(payload["offsets"], validate=True)
-    offsets = np.frombuffer(raw, dtype=dtype).astype(np.int32)
-    offsets = offsets.reshape(params.s_size, params.w)
+    offsets = np.frombuffer(raw, dtype=dtype).reshape(params.s_size, params.w)
     return MaskingSet(offsets, params, _seed("seed", payload["seed"]), payload["status"])
 
 
@@ -213,10 +222,10 @@ def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
     }
     payload["sha256"] = _sha256(payload)
     head, offsets, tail = _json_pieces(payload, indent=1)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(head)
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
         fh.write(offsets)
-        fh.write(tail + "\n")
+        fh.write(tail.encode("ascii") + b"\n")
 
 
 def load_design(path: str | os.PathLike) -> DesignBundle:
@@ -233,6 +242,8 @@ def _bundle_from_payload(payload) -> DesignBundle:
         raise CorruptDesignFile("not a design file")
     if checked_integer("version", payload.get("version")) != _BUNDLE_VERSION:
         raise CorruptDesignFile(f"unsupported version {payload.get('version')!r}")
+    # The hash and the strict decode read the same ASCII copy of the text.
+    payload["masking"]["offsets"] = _offsets_text(payload)
     if payload.pop("sha256", None) != _sha256(payload):
         raise CorruptDesignFile("content hash mismatch")
     _check_keys(payload, _BUNDLE_KEYS, "design")

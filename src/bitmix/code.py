@@ -56,7 +56,7 @@ from .errors import (
     TooManyErasures,
 )
 from .gf import GF2m, get_field
-from .params import message_length
+from .params import checked_integer, message_length
 
 ERASURE = -1
 
@@ -84,8 +84,8 @@ class Codebook:
     """Evaluation-code view of the items: w symbols of ell bits each."""
 
     def __init__(self, n: int, w: int, ell: int):
-        if n < 1 or w < 1:
-            raise InvalidInput("need n >= 1 and w >= 1")
+        n, w, ell = (checked_integer(name, value, low=1)
+                     for name, value in (("n", n), ("w", w), ("ell", ell)))
         if (1 << ell) < w + 1:
             raise InvalidInput("need 2^ell >= w + 1 for distinct evaluation points")
         self.n = n

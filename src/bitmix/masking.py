@@ -9,9 +9,12 @@ set-quality notions are statistics of pairwise collision counts:
   defectives' strings must collide with each other, and every outside string
   with the defective multiset, in at most w/2 positions total.  A string's
   total is its score (`MaskingSet.scores`) on the multiset's position usage
-  (`MaskingSet.usage`), so no pair is counted one by one.  The cached
-  positions are int32 below t1 = 2^31 (4 |S| w bytes), the usage counts
-  uint8 up to 255 strings, and a check gathers them about 0.6 MB at a time.
+  (`MaskingSet.usage`), so no pair is counted one by one.  Every |S| w
+  table is held in the narrowest unsigned type that holds its values, chosen
+  from the params: the offsets below c1*k (uint8 up to c1*k = 256), the
+  cached positions below t1 (uint16 up to t1 = 2^16, 2 |S| w bytes).  The
+  usage counts are uint8 up to 255 strings, and a check gathers them about
+  0.6 MB at a time.
 
 * The deterministic certificate (`verify_promising`): for every string, the
   collision counts against the other |S|-1 strings must have mean within 4%
@@ -25,7 +28,8 @@ set-quality notions are statistics of pairwise collision counts:
   strings, so the certificate returns at the block that holds the first
   violation.  Read to the end, the blocks cost about |S|^2 w / (2 c1*k)
   increments for random offsets; memory is O(16 |S| + |S| w), never |S|^2,
-  and the |S| w part is two int32 arrays.
+  and the |S| w part is two arrays of string indices, uint16 up to 2^16
+  strings.
 
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
   w/(2k) times, checked over the same blocks up to the first pair above.
@@ -71,8 +75,11 @@ _READS = 16
 _SCAN = 32
 
 # Positions that MaskingSet.scores gathers at a time: numpy gathers through
-# an int64 copy of int32 indices, 512 KB at this size.
+# an int64 copy of the narrow positions, 512 KB at this size.
 _GATHER = 1 << 16
+
+# Offsets that construct_candidate draws at a time.
+_DRAW = 1 << 16
 
 # Strings whose collisions with the later strings _collision_blocks counts in
 # one bincount: the rows of one block of the collision counts.
@@ -95,7 +102,11 @@ class MaskingSet:
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise InvalidInput(f"unknown status {self.status!r}")
-        self.offsets = checked_array("offsets", self.offsets, 2, self.params.segment_len, np.int32)
+        segment_len = self.params.segment_len
+        table = checked_array("offsets", self.offsets, 2, segment_len,
+                              np.min_scalar_type(segment_len - 1))
+        # A table read from a file's bytes is read-only; the set keeps a writable one.
+        self.offsets = table if table.flags.writeable else table.copy()
         expect = (self.params.s_size, self.params.w)
         if self.offsets.shape != expect:
             raise ShapeMismatch(f"offsets shape {self.offsets.shape} != {expect}")
@@ -107,12 +118,14 @@ class MaskingSet:
     def flat_positions(self) -> np.ndarray:
         """(s_size, w) global bit positions of each string's 1s (cached).
 
-        int32 when every position fits (t1 < 2^31), else int64: 4 |S| w
-        bytes at every desk-scale size, half what int64 would hold.
+        In the narrowest unsigned type that holds t1 - 1: uint16, 2 |S| w
+        bytes, up to t1 = 2^16, which covers every benchmark cell.  The
+        offsets' type is never wider, so their sum with the segment starts
+        is taken in this type and cannot wrap.
         """
-        dtype = np.int32 if self.params.t1 < 2**31 else np.int64
-        seg = np.arange(self.params.w, dtype=dtype) * self.params.segment_len
-        return self.offsets.astype(dtype, copy=False) + seg[None, :]
+        p = self.params
+        seg = (np.arange(p.w) * p.segment_len).astype(np.min_scalar_type(p.t1 - 1))
+        return self.offsets + seg
 
     def usage(self, strings) -> np.ndarray:
         """(t1,) how many of the given strings (repeats counted) have a 1 at each position.
@@ -158,7 +171,7 @@ class MaskingSet:
         lo, hi = 0, max(0, w - threshold // cap) + _FIRST
         while lo < w and alive.size:
             hi = min(hi, w)
-            # take() gathers faster than indexing with int32 positions, and
+            # take() gathers faster than indexing with narrow positions, and
             # while every string is alive a column slice needs no row gather.
             part = flat[:, lo:hi] if alive.size == len(self) else flat[alive, lo:hi]
             score += vec.take(part).sum(axis=1, dtype=np.int64)
@@ -171,9 +184,15 @@ class MaskingSet:
 def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
     """Draw |S| strings with i.i.d. uniform segment offsets (unverified)."""
     rng = np.random.default_rng(seed)
-    offsets = rng.integers(
-        0, params.segment_len, size=(params.s_size, params.w), dtype=np.int32
-    )
+    s, w = params.s_size, params.w
+    offsets = np.empty((s, w), dtype=np.min_scalar_type(params.segment_len - 1))
+    # int32 draws, a block of rows at a time, give the stream of one draw of
+    # the whole table without an int32 copy of it.
+    rows = max(1, _DRAW // w)
+    for lo in range(0, s, rows):
+        offsets[lo:lo + rows] = rng.integers(
+            0, params.segment_len, size=(min(rows, s - lo), w), dtype=np.int32
+        )
     return MaskingSet(offsets, params, seed, STATUS_UNVERIFIED)
 
 
@@ -191,10 +210,12 @@ def _collision_blocks(offsets):
     counts the pairs.  For uniform offsets over c1*k values that is about
     |S|^2 w / (2 c1*k) increments in all.  A caller that stops early does
     only the work of the blocks it read.  The only |S| w arrays are the
-    bucket lists and each string's place in them, int32 while every index
-    fits; they are sorted and placed _LAYOUT entries at a time, which bounds
-    the scratch of building them.  A block holds
-    _PAIR_ROWS * (|S| - lo) int64 counts and lists about
+    bucket lists and each string's rank in its segment's list, both in the
+    narrowest unsigned type that holds |S| - 1 (2 |S| w bytes each up to
+    2^16 strings); they are sorted and placed _LAYOUT entries at a time,
+    which bounds the scratch of building them.  Every sum with an offset or
+    a rank has an idx operand, so none wraps in a narrow type.  A block
+    holds _PAIR_ROWS * (|S| - lo) int64 counts and lists about
     _PAIR_ROWS |S| w / (c1*k) pairs, so with c1*k >= _PAIR_ROWS a full pass
     needs O(_PAIR_ROWS |S| + |S| w) memory.
     """
@@ -204,13 +225,15 @@ def _collision_blocks(offsets):
     # count fits.
     idx = np.int32 if max(s * w * _PAIR_ROWS, w * span) < 2**31 else np.int64
     # members[j*|S| + rank]: segment j's strings, bucket by bucket, ascending;
-    # pos[j, i]: where string i stands in that list; ends: the strings per
-    # bucket, then their running sum, with bucket (j, offset) keyed
-    # j*span + offset.
-    members = np.empty(w * s, dtype=idx)
-    pos = np.empty(w * s, dtype=idx)
+    # rank[j, i]: where string i stands among segment j's; ends: the strings
+    # per bucket, then their running sum, with bucket (j, offset) keyed
+    # j*span + offset.  A string index or rank is below |S|, so members and
+    # rank take its narrowest type.
+    members = np.empty(w * s, dtype=np.min_scalar_type(s - 1))
+    rank = np.empty(w * s, dtype=members.dtype)
     ends = np.empty(w * span, dtype=idx)
     step = max(1, _LAYOUT // s)
+    ranks = np.tile(np.arange(s, dtype=members.dtype), step)
     for j0 in range(0, w, step):
         j1 = min(w, j0 + step)
         # The narrowest type: keys of 16 bits or less sort by radix.
@@ -220,13 +243,15 @@ def _collision_blocks(offsets):
         order = np.argsort(part, axis=1, kind="stable")
         members[j0 * s:j1 * s] = order.ravel()
         order += np.arange(j0 * s, j1 * s, s)[:, None]
-        pos[order.ravel()] = np.arange(j0 * s, j1 * s, dtype=idx)
-    pos = pos.reshape(w, s)
+        rank[order.ravel()] = ranks[:(j1 - j0) * s]
+    rank = rank.reshape(w, s)
     np.cumsum(ends, out=ends)
     buckets = np.arange(0, w * span, span, dtype=idx)
+    starts = np.arange(0, w * s, s, dtype=idx)[:, None]
     for lo in range(0, s, _PAIR_ROWS):
         hi, width = min(s, lo + _PAIR_ROWS), s - lo
-        at_row = pos[:, lo:hi].T.ravel()
+        # Where each (string, segment) stands in members.
+        at_row = (rank[:, lo:hi] + starts).T.ravel()
         # Entries listed after each of these in its bucket.
         after = ends[(offsets[lo:hi] + buckets).ravel()] - at_row - 1
         first = np.cumsum(after, dtype=idx) - after

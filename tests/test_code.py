@@ -42,7 +42,18 @@ def test_encode_index_bounds():
     with pytest.raises(IndexOutOfRange):
         cb.encode_index(101)
     cb.encode_index(100)  # boundary is valid
-    assert Codebook(n=np.int64(100), w=10, ell=4).m == cb.m
+    numpy = Codebook(n=np.int64(100), w=np.int32(10), ell=np.uint8(4))
+    assert numpy.m == cb.m
+    assert np.array_equal(numpy.encode_index(100), cb.encode_index(100))
+
+
+@pytest.mark.parametrize("n, w, ell", [(100.5, 10, 4), (True, 10, 4), ("7", 10, 4),
+                                      (100, 10.0, 4), (100, 10, "4"), (0, 10, 4),
+                                      (100, 0, 4), (100, 10, -1)])
+def test_codebook_refuses_a_shape_that_is_not_a_positive_integer(n, w, ell):
+    # a float n used to build, and encode_index(100) then ran on n = 100.5
+    with pytest.raises(InvalidInput):
+        Codebook(n, w, ell)
 
 
 def test_codewords_distinct_small():

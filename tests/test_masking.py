@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -124,25 +125,46 @@ def test_flat_positions():
 
 
 @pytest.mark.parametrize("n, k, xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)])
-def test_flat_positions_are_int32_on_the_benchmark_cells(n, k, xi):
+def test_tables_are_uint8_offsets_and_uint16_positions_on_the_benchmark_cells(n, k, xi):
     p = derive_params(n, k, xi=xi)
     mset = construct_candidate(p, seed=1)
     flat = mset.flat_positions
-    assert flat.dtype == np.int32
+    assert mset.offsets.dtype == np.uint8
+    assert flat.dtype == np.uint16
     seg = np.arange(p.w, dtype=np.int64) * p.segment_len
     assert np.array_equal(flat, mset.offsets.astype(np.int64) + seg)
 
 
-def test_flat_positions_are_int64_beyond_int32():
-    # t1 = 4 * 2^26 * 16 = 2^32 positions; usage() and scores() are not
-    # called, since a count vector of t1 entries would take 16 GB
-    p = _params(n=2**40, k=2**26, w=16, ell=5, c1=4, s_size=1)
-    assert p.t1 == 2**32
-    offsets = np.array([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 2**28 - 1]])
+@pytest.mark.parametrize("n, k, w, ell, dtype", [(2**40, 2**10, 16, 5, np.uint16),
+                                                 (2**14 + 1, 2**14 + 1, 1, 15, np.uint32),
+                                                 (2**40, 2**26, 16, 5, np.uint32)],
+                         ids=["t1=2^16", "t1=2^16+4", "t1=2^32"])
+def test_positions_take_the_narrowest_type_that_holds_t1(n, k, w, ell, dtype):
+    # t1 = 4 k w.  2^16 + 1 is prime, so no t1 equals it; 2^16 + 4 is the
+    # first t1 past 2^16.  The last position, t1 - 1, is held exactly.  At
+    # t1 = 2^32 usage() and scores() are not called, since a count vector of
+    # t1 entries would take 16 GB
+    p = _params(n=n, k=k, w=w, ell=ell, s_size=2)
+    offsets = np.array([np.arange(w) % p.segment_len, np.full(w, p.segment_len - 1)])
     flat = MaskingSet(offsets, p, seed=0).flat_positions
-    assert flat.dtype == np.int64
-    assert int(flat[0, -1]) == 2**32 - 1
-    assert np.array_equal(flat[0], offsets[0] + np.arange(16, dtype=np.int64) * 2**28)
+    assert flat.dtype == dtype
+    assert int(flat[1, -1]) == p.t1 - 1
+    seg = np.arange(w, dtype=np.int64) * p.segment_len
+    assert np.array_equal(flat, offsets.astype(np.int64) + seg)
+
+
+@pytest.mark.parametrize("k, dtype", [(1, np.uint8), (64, np.uint8), (65, np.uint16),
+                                      (2**14 + 1, np.uint32)],
+                         ids=["c1k=4", "c1k=256", "c1k=260", "c1k=2^16+4"])
+def test_offsets_take_the_narrowest_type_that_holds_a_segment(k, dtype):
+    # c1 * k = 257 is prime, so 260 is the first segment length past 256
+    p = _params(n=2**14 + 1, k=k, w=3, ell=5, s_size=2)
+    top = p.segment_len - 1
+    offsets = np.array([[0, top, 0], [top] * 3])
+    mset = MaskingSet(offsets, p, seed=0)
+    assert mset.offsets.dtype == dtype
+    assert np.array_equal(mset.offsets, offsets)
+    assert construct_candidate(p, seed=0).offsets.dtype == dtype
 
 
 @pytest.mark.parametrize("repeats, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16),
@@ -173,7 +195,7 @@ def test_usage_counts_in_the_narrowest_type(repeats, dtype):
          "shape", "status"],
 )
 def test_masking_set_refuses_malformed_offsets(offsets, status, error):
-    # checked before the int32 cast: no float is truncated and no offset wraps
+    # checked before the narrowing cast: no float is truncated and no offset wraps
     p = _params(n=16, k=2, w=4, ell=3, s_size=2)
     with pytest.raises(error):
         MaskingSet(offsets, p, seed=0, status=status)
@@ -395,6 +417,29 @@ def test_certificate_matches_dense_reference():
     # every outcome of both checks occurs among the cases
     assert seen == {None, "mean", "max_dev", "sq_dev", True, False}
 
+@pytest.mark.parametrize("s_size", [256, 257])
+@pytest.mark.parametrize("k", [64, 65], ids=["c1k=256", "c1k=260"])
+def test_collision_blocks_match_the_dense_reference_at_the_type_boundaries(s_size, k):
+    # string ids and ranks in uint8 (256 strings) or uint16 (257), offsets in
+    # uint8 (segment 256) or uint16 (260), a third of them at the last
+    # offset.  With w = 256 the places in the bucket lists and the bucket
+    # keys pass 2^16, so no sum of a narrow table may wrap
+    w = 256
+    p = _params(n=2**14 + 1, k=k, w=w, ell=9, s_size=s_size)
+    rng = np.random.default_rng(s_size + k)
+    top = p.segment_len - 1
+    offsets = np.where(rng.random((s_size, w)) < 1 / 3, top,
+                       rng.integers(top - 3, top + 1, size=(s_size, w)))
+    offsets[-1] = top
+    mset = MaskingSet(offsets, p, seed=0)
+    assert mset.offsets.max() == top
+    dense = np.triu(collision_matrix(offsets), 1)
+    got = np.zeros_like(dense)
+    for lo, block in masking._collision_blocks(mset.offsets):
+        got[lo:lo + len(block), lo:] = block
+    assert np.array_equal(got, dense)
+
+
 def test_certificate_reads_only_up_to_the_violating_block(monkeypatch):
     # the certificate and the small-k check stop at the row block holding
     # the first violation, or the first pair above w/(2k); a passing set
@@ -432,10 +477,11 @@ def test_certificate_reads_only_up_to_the_violating_block(monkeypatch):
 
 def test_certificate_holds_its_bucket_lists_and_little_more():
     # an i.i.d. (2^20, 20) design, as the benchmark builds, fails at string
-    # 0.  The bucket lists and each string's place in them take 2 * 4 |S| w
-    # bytes; the scratch of building them is bounded by _LAYOUT, and the
-    # first block holds a few int32 lists of _PAIR_ROWS |S| w / (c1 k) pairs.
-    # Measured: 2.8 * 4 |S| w; a layout built whole peaked at 4.1.
+    # 0.  The bucket lists and each string's rank in them, uint16, take
+    # 2 * 2 |S| w bytes; the scratch of building them is bounded by _LAYOUT,
+    # and the first block holds a few int32 lists of _PAIR_ROWS |S| w / (c1 k)
+    # pairs.  Measured: 1.84 * 4 |S| w; int32 lists and places peaked at 2.8,
+    # and a layout built whole at 4.1.
     mset = build_design(2**20, 20, seed=1, verify=False).masking
     p = mset.params
     verify_promising(mset)
@@ -446,7 +492,7 @@ def test_certificate_holds_its_bucket_lists_and_little_more():
     finally:
         tracemalloc.stop()
     assert report.first_violation[0] == 0
-    assert peak <= 3.25 * 4 * p.s_size * p.w, peak
+    assert peak <= 2.0 * 4 * p.s_size * p.w, peak
 
 
 def test_verify_fails_on_duplicate():
@@ -686,6 +732,32 @@ def test_save_load_round_trip(tmp_path):
     assert back.params == mset.params
     assert back.seed == mset.seed
     assert back.status == STATUS_SMALLK
+
+
+@pytest.mark.parametrize(
+    "k, dtype, sha256",
+    [(64, np.uint8, "6f8c213394a397ff019ee20a84d60ecf2d2877fb6fcc3255efb993690cfbe832"),
+     (65, np.uint16, "3a5725e3f75285ddbf2d4533951fd80b02979f2a80d2df374456ce0d36746734")],
+    ids=["c1k=256", "c1k=260"],
+)
+def test_narrow_offsets_round_trip_keeps_the_file_and_a_writable_table(tmp_path, k, dtype,
+                                                                       sha256):
+    # uint8 offsets are widened to the file's <u2; uint16 ones are the file's
+    # own type, and the loaded table is not a view of the read-only bytes.
+    # The digests are of the files that int32 tables wrote.
+    p = _params(n=2**14 + 1, k=k, w=40, ell=6, s_size=50)
+    offsets = np.random.default_rng(7).integers(0, p.segment_len, size=(50, 40))
+    offsets[0] = p.segment_len - 1
+    path = tmp_path / "design.json"
+    save_design(DesignBundle(MaskingSet(offsets, p, seed=3), assignment_seed=5), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    back = load_design(path).masking
+    assert back.offsets.dtype == dtype and back.offsets.flags.writeable
+    assert np.array_equal(back.offsets, offsets)
+    again = tmp_path / "again.json"
+    save_design(DesignBundle(back, assignment_seed=5), again)
+    assert again.read_bytes() == path.read_bytes()
+    back.offsets[0, 0] = 0
 
 
 def test_load_detects_tamper(tmp_path):
