@@ -123,6 +123,20 @@ def test_flat_positions():
     assert list(flat[1]) == [7, 8, 21, 25]
 
 
+@pytest.mark.parametrize("n, k, xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)])
+def test_flat_positions_are_int32_on_the_benchmark_cells(n, k, xi):
+    # the narrow table holds the int32 positions exactly: its type casts to
+    # int32 without loss, and the block-wise int32 draws give the offsets of
+    # one int32 draw of the whole (|S|, w) table, so designs stay bit-identical
+    p = derive_params(n, k, xi=xi)
+    flat = construct_candidate(p, seed=1).flat_positions
+    assert np.can_cast(flat.dtype, np.int32)
+    whole = np.random.default_rng(1).integers(
+        0, p.segment_len, size=(p.s_size, p.w), dtype=np.int32
+    )
+    seg = np.arange(p.w, dtype=np.int32) * p.segment_len
+    assert np.array_equal(flat, whole + seg)
+
 
 @pytest.mark.parametrize("n, k, xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)])
 def test_tables_are_uint8_offsets_and_uint16_positions_on_the_benchmark_cells(n, k, xi):
