@@ -9,11 +9,15 @@ is w - m + 1, so any f <= w - m erasures are correctable, and any (e, f) with
 `Codebook.decode_words` decodes a whole (L, w) matrix of received words in
 one pass of array operations, in two stages:
   1. candidates: each row's first T disjoint m-tuples of unerased positions
-     (T = _TUPLES when noisy, 1 when noiseless) give T messages, by one
-     batched Lagrange interpolation through the m points of each tuple
-     (`GF2m.interpolate`, closed form, no elimination) and one re-encode.
+     (T = _TUPLES when noisy, 1 when noiseless) give T messages, by batched
+     Lagrange interpolation through the m points of each tuple
+     (`GF2m.interpolate`, closed form, no elimination) and a re-encode.
      A row keeps the first message whose codeword passes the check below.
-     This is the whole noiseless decode.
+     The tuples go in two rounds: every row tries its first _ROUND, and only
+     the rows that none of them fits try the other T - _ROUND, so the
+     working set holds the re-encodes of _ROUND tuples per row, not T.
+     Noiseless rows have one tuple and one round: this is the whole
+     noiseless decode.
   2. errata, for the noisy rows that no tuple fits:
      a. syndromes of each row, as one GF matrix product with the parity
         checks;
@@ -33,7 +37,9 @@ w - m of a word is the only one there, because the minimum distance is
 w - m + 1.  So a message that passes the noisy check is the codeword that
 bounded-distance decoding returns, however it was found, and the candidate
 stage changes no outcome: a row with a codeword within the radius decodes
-to it in either stage, and a row without one fails the check in both.
+to it in either stage, and a row without one fails the check in both.  The
+rounds change none either: a row keeps the first tuple that fits, whichever
+round holds it.
 
 Decoding never trusts its own algebra: every message is re-encoded and
 checked against every non-erased symbol (exact agreement when noiseless,
@@ -66,6 +72,12 @@ ERASURE = -1
 # a decodable row with probability about 0.75^32 = 1e-4.  A row they miss
 # still decodes, through Berlekamp-Massey.
 _TUPLES = 32
+
+# Tuples of round 1, which every noisy row tries; round 2 tries the other
+# _TUPLES - _ROUND only for the rows that no round-1 tuple fits.  At the rates
+# above 8 tuples already fit about 90% of decodable rows, so round 2 works on
+# few rows and the working set holds about a quarter of the tuples.
+_ROUND = 8
 
 # Re-encoded symbols held at once by `Codebook._fit` (8 MB of int64).
 _BLOCK = 1 << 20
@@ -148,11 +160,13 @@ class Codebook:
 
         Two stages (see the module docstring).  The candidate stage tries
         the messages through a row's first _TUPLES disjoint m-tuples of
-        unerased positions (one tuple when noiseless).  Noisy rows that no
-        tuple fits go through syndromes, Berlekamp-Massey and a Chien search,
-        then the same interpolation and check.  A codeword that passes the
-        noisy check is the only one within the radius, so the outcome is that
-        of bounded-distance decoding whichever stage finds it.
+        unerased positions (one tuple when noiseless), in two rounds: the
+        first _ROUND tuples of every row, then the rest for the rows that
+        round 1 left.  Noisy rows that no tuple fits go through syndromes,
+        Berlekamp-Massey and a Chien search, then the same interpolation and
+        check.  A codeword that passes the noisy check is the only one within
+        the radius, so the outcome is that of bounded-distance decoding
+        whichever stage or round finds it.
         """
         words = _as_words(words, self.w, self.q)
         radius = self.w - self.m
@@ -178,10 +192,18 @@ class Codebook:
         tuples = min(_TUPLES if noisy else 1, self.w // self.m)
         keep = np.argsort(erased, axis=1, kind="stable")[:, : tuples * self.m]
         keep = keep.reshape(len(rows), tuples, self.m)
-        msg, ok = self._fit(received, erased, n_erased, keep, noisy)
+        # Round 1: every row's first _ROUND tuples (its only one when noiseless).
+        msg, ok = self._fit(received, erased, n_erased, keep[:, :_ROUND], noisy)
         first = np.argmax(ok, axis=1)
         msg, ok = msg[np.arange(len(rows)), first], ok.any(axis=1)
         left = np.nonzero(~ok)[0]
+        if left.size and tuples > _ROUND:
+            # Round 2: the other tuples, for the rows that round 1 left.
+            sub = received[left], erased[left], n_erased[left]
+            fitted, passed = self._fit(*sub, keep[left, _ROUND:], noisy)
+            first, good = np.argmax(passed, axis=1), passed.any(axis=1)
+            msg[left], ok[left] = fitted[np.arange(left.size), first], good
+            left = left[~good]
         if noisy and left.size:
             sub = received[left], erased[left], n_erased[left]
             errata = sub[1] | self._locate_errors(*sub)

@@ -14,10 +14,11 @@ erasures only when noiseless, errors and erasures under noise.  Work is at
 most O(|S| w) for batch 1, and about O(|S| + |L| w) on a noiseless outcome,
 where almost every string drops out after a few segments
 (`MaskingSet.reaching`); plus about O(|L| T m w) for the candidate stage of
-`Codebook.decode_words` (T = 1 noiseless, 32 under noise: one Lagrange
-interpolation and one re-encode per m-tuple), plus O(|L'| w^2) for the |L'|
-noisy words that no candidate fits (syndromes, Berlekamp-Massey, Chien
-search) - no term depends on n except through w and m.
+`Codebook.decode_words` (T = 1 noiseless; under noise 8 for every word and
+32 for a word that none of its first 8 fits: one Lagrange interpolation and
+one re-encode per m-tuple), plus O(|L'| w^2) for the |L'| noisy words that no
+candidate fits (syndromes, Berlekamp-Massey, Chien search) - no term depends
+on n except through w and m.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .seeding import GOLDEN64, mix64, mix64_array
 
 OUTCOME_MAGIC = b"BMXO"
 OUTCOME_VERSION = 1
+
+# Batch-2 noise draws held at once by `simulate_outcomes` (128 KB of float64).
+_NOISE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,13 @@ def simulate_outcomes(
             raise InvalidInput("xi > 0 requires an rng for the noise draws")
         y1 ^= rng.random(params.t1) < params.xi
         # Flips in batch-2 test order: bit b of symbol j is test j*ell + b.
-        flips = rng.random((params.t1, params.ell)) < params.xi
-        symbols ^= flips @ (1 << np.arange(params.ell))
+        # Drawn a block of symbols at a time; the generator fills in order,
+        # so the stream is that of one (t1, ell) draw.
+        weights = 1 << np.arange(params.ell)
+        step = max(1, _NOISE_BLOCK // params.ell)
+        for lo in range(0, params.t1, step):
+            flips = rng.random((min(step, params.t1 - lo), params.ell)) < params.xi
+            symbols[lo : lo + step] ^= flips @ weights
 
     return Batch1Outcome(y1), Batch2Outcome(symbols, params.ell)
 

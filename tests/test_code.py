@@ -402,3 +402,95 @@ def test_decode_words_validation():
         with pytest.raises(InvalidInput):
             cb.decode_words(bad, noisy=True)
     assert cb.decode_words(np.zeros((0, 10), dtype=np.int64), noisy=True) == ([], [])
+
+
+def test_decode_words_tries_later_tuples_only_for_rows_round_one_leaves(monkeypatch):
+    # at w // m = 127 tuples there are _TUPLES candidates per noisy row, tried
+    # in two rounds: the first _ROUND for every row, the rest for the rows
+    # that round 1 leaves.  Berlekamp-Massey sees only what both rounds leave.
+    cb = Codebook(n=2**20, w=381, ell=9)
+    assert (cb.m, cb.w - cb.m) == (3, 378)
+    assert code._ROUND < code._TUPLES <= cb.w // cb.m
+    base = cb.encode_index(777_777)
+    clean, round_two, only_bm = base.copy(), base.copy(), base.copy()
+    # Tuple t is positions (3t, 3t+1, 3t+2): one error in each of the first
+    # _ROUND tuples leaves tuple _ROUND clean; one in each of the _TUPLES
+    # tuples leaves none, though 2 * 32 errors lie well inside the radius.
+    round_two[np.arange(code._ROUND) * cb.m] ^= 5
+    only_bm[np.arange(code._TUPLES) * cb.m + 1] ^= 11
+    fits, located = [], []
+    fit, locate = Codebook._fit, Codebook._locate_errors
+
+    def spy_fit(self, received, erased, n_erased, keep, noisy):
+        fits.append(keep.shape[:2])
+        return fit(self, received, erased, n_erased, keep, noisy)
+
+    def spy_locate(self, received, erased, n_erased):
+        located.append(received.copy())
+        return locate(self, received, erased, n_erased)
+
+    monkeypatch.setattr(Codebook, "_fit", spy_fit)
+    monkeypatch.setattr(Codebook, "_locate_errors", spy_locate)
+    items, errors = cb.decode_words(np.array([clean, round_two, only_bm]), noisy=True)
+    assert items == [777_777] * 3 and errors == [None] * 3
+    rest = code._TUPLES - code._ROUND
+    # round 1, round 2 on two rows, then the interpolation after BM on one
+    assert fits == [(3, code._ROUND), (2, rest), (1, 1)]
+    assert len(located) == 1 and np.array_equal(located[0][0], only_bm)
+    # noiseless, a row has one tuple and one round, and never reaches BM
+    fits.clear()
+    items, errors = cb.decode_words(np.array([clean, round_two]), noisy=False)
+    assert items == [777_777, None] and type(errors[1]) is InconsistentWord
+    assert fits == [(2, 1)] and len(located) == 1
+
+
+@pytest.mark.parametrize("n, w, ell", [(2**20, 381, 9), (2**16, 259, 9), (2**12, 30, 5)])
+def test_decode_words_in_two_rounds_matches_one_round(monkeypatch, n, w, ell):
+    # Trying every tuple in one round, as the decoder did before the rounds,
+    # gives the same item or error type on every row: words with an error in
+    # each of their first j tuples (so that round 1, round 2 or only
+    # Berlekamp-Massey fits them) and more errors inside or beyond the
+    # radius, ORs of two codewords, and random words.
+    cb = Codebook(n, w, ell)
+    tuples = min(code._TUPLES, cb.w // cb.m)
+    assert code._ROUND < tuples
+    rng = np.random.default_rng(w)
+    words = []
+    for row in range(120):
+        word = cb.encode_index(int(rng.integers(1, n + 1))).copy()
+        if row % 6 == 0:
+            word |= cb.encode_index(int(rng.integers(1, n + 1)))
+        elif row % 6 == 1:
+            word = rng.integers(0, cb.q, size=w)
+        word[rng.random(w) < rng.uniform(0.0, 0.3)] = ERASURE
+        # Tuple t holds the unerased positions t*m .. t*m + m - 1.
+        unerased = np.nonzero(word != ERASURE)[0]
+        j = min(int(rng.choice([rng.integers(code._ROUND), rng.integers(code._ROUND, tuples),
+                                tuples])), len(unerased) // cb.m)
+        wrong = rng.random(w) < rng.uniform(0.0, 0.3)
+        wrong[unerased[np.arange(j) * cb.m]] = True
+        wrong &= word != ERASURE
+        word[wrong] ^= rng.integers(1, cb.q, size=int(wrong.sum()))
+        words.append(word)
+    words = np.array(words)
+
+    fitted, fit = [], Codebook._fit
+
+    def spy_fit(self, received, erased, n_erased, keep, noisy):
+        msg, ok = fit(self, received, erased, n_erased, keep, noisy)
+        fitted.append(int(ok.any(axis=1).sum()))
+        return msg, ok
+
+    def outcomes():
+        fitted.clear()
+        items, errors = cb.decode_words(words, noisy=True)
+        return [item if error is None else type(error) for item, error in zip(items, errors)]
+
+    monkeypatch.setattr(Codebook, "_fit", spy_fit)
+    two_rounds = outcomes()
+    # rows decoded in round 1, in round 2 and after BM, and rows that fail
+    assert len(fitted) == 3 and min(fitted) > 0
+    assert DecodingFailure in two_rounds
+    monkeypatch.setattr(code, "_ROUND", code._TUPLES)
+    assert outcomes() == two_rounds
+    assert len(fitted) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from bitmix import scheme
 from bitmix.code import ERASURE, Codebook
 from bitmix.errors import InvalidInput, MalformedResultFile
 from bitmix.masking import MaskingSet, STATUS_UNVERIFIED, construct_candidate
@@ -137,6 +138,25 @@ def test_simulate_noisy_requires_rng():
     clean = np.zeros(p.t1, dtype=np.uint8)
     clean[mset.flat_positions[s]] = 1
     assert not np.array_equal(y1.bits, clean)
+
+
+@pytest.mark.parametrize("block", [1, 1234, None])
+def test_noise_drawn_in_blocks_keeps_the_outcomes(monkeypatch, block):
+    # Batch-2 flips are drawn a block of symbols at a time.  Blocks of one
+    # symbol, of a count that does not divide t1, and one block of the whole
+    # (t1, ell) table all give the bytes of the default blocks, and leave the
+    # generator at the same state.
+    p, mset, cb, asg = _design(2**16, 5, xi=0.05)
+    assert p.t1 % (1234 // p.ell) != 0
+
+    def draw():
+        rng = np.random.default_rng(9)
+        blob = outcomes_to_bytes(*simulate_outcomes([7, 4000, 65536], asg, mset, cb, rng=rng))
+        return blob, rng.random()
+
+    want = draw()
+    monkeypatch.setattr(scheme, "_NOISE_BLOCK", p.t1 * p.ell if block is None else block)
+    assert draw() == want
 
 
 def test_identify_strings_single():
