@@ -11,8 +11,10 @@ one pass of array operations, in two stages:
   1. candidates: each row's first T disjoint m-tuples of unerased positions
      (T = _TUPLES when noisy, 1 when noiseless) give T messages, by batched
      Lagrange interpolation through the m points of each tuple
-     (`GF2m.interpolate`, closed form, no elimination) and a re-encode.
-     A row keeps the first message whose codeword passes the check below.
+     (`GF2m.interpolate`, closed form, no elimination) and a re-encode,
+     one gather per degree from the log table of the powers x_j^d that the
+     codebook keeps.  A row keeps the first message whose codeword passes
+     the check below.
      The tuples go in two rounds: every row tries its first _ROUND, and only
      the rows that none of them fits try the other T - _ROUND, so the
      working set holds the re-encodes of _ROUND tuples per row, not T.
@@ -45,7 +47,9 @@ Decoding never trusts its own algebra: every message is re-encoded and
 checked against every non-erased symbol (exact agreement when noiseless,
 2e + f <= w - m when noisy), and a decoded index outside [1, n] is rejected,
 so upstream corruption surfaces as an explicit error (InconsistentWord /
-DecodingFailure) rather than a silently wrong item.
+DecodingFailure) rather than a silently wrong item.  Input is checked once,
+where it enters: `decode_words` checks its words, `scheme.identify_items`
+the outcome it reads words from, and both hand them to one private core.
 """
 
 from __future__ import annotations
@@ -79,17 +83,9 @@ _TUPLES = 32
 # few rows and the working set holds about a quarter of the tuples.
 _ROUND = 8
 
-# Re-encoded symbols held at once by `Codebook._fit` (8 MB of int64).
+# Re-encoded symbols held at once by `Codebook._fit`: 2 MB of uint16 codes, and
+# 8 MB of int64 log sums for the one degree `Codebook._encode` gathers at a time.
 _BLOCK = 1 << 20
-
-
-def _as_words(words, w: int, q: int) -> np.ndarray:
-    symbols = np.asarray(words, dtype=np.int64)
-    if symbols.ndim != 2 or symbols.shape[1] != w:
-        raise InvalidInput(f"received words must have length {w}, got shape {symbols.shape}")
-    if symbols.min(initial=0) < ERASURE or symbols.max(initial=0) >= q:
-        raise InvalidInput("symbol values must lie in [0, q) or be ERASURE")
-    return symbols
 
 
 class Codebook:
@@ -109,7 +105,9 @@ class Codebook:
             raise InvalidInput("message length m exceeds block length w")
         self.field: GF2m = get_field(ell)
         self.points = np.arange(w, dtype=np.int64)
-        self._vand = self.field.vandermonde(self.points, self.m)
+        # log of x_j^d at [d, j], C-contiguous: `_encode` gathers one row per degree.
+        self._log_powers = np.ascontiguousarray(
+            self.field.log[self.field.vandermonde(self.points, self.m).T])
 
     def _digits(self, i: int) -> np.ndarray:
         v = i - 1
@@ -123,7 +121,15 @@ class Codebook:
         """Codeword of item i (1-based), as w symbols in [0, q)."""
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"item index {i} outside [1, {self.n}]")
-        return self.field.matmul(self._digits(i)[None], self._vand.T)[0]
+        return self._encode(self._digits(i)[None])[0].astype(np.int64)
+
+    def _encode(self, msg: np.ndarray) -> np.ndarray:
+        """Codewords (R, w) of the messages msg (R, m) as uint16, one gather per degree."""
+        exp, log_msg = self.field.exp, self.field.log[msg]
+        codes = exp[log_msg[:, :1] + self._log_powers[0]]
+        for d in range(1, self.m):
+            codes ^= exp[log_msg[:, d : d + 1] + self._log_powers[d]]
+        return codes
 
     @cached_property
     def _locator_tables(self):
@@ -155,8 +161,8 @@ class Codebook:
             codeword of an index in [1, n];
           - noisy: DecodingFailure when no codeword of an index in [1, n]
             lies within 2e + f <= w - m of the word (e errors, f erasures).
-        Raises InvalidInput unless `words` is an (L, w) matrix of symbols in
-        [0, q) or ERASURE.
+        Raises InvalidInput unless `words` is an (L, w) matrix of integer
+        symbols in [0, q) or ERASURE.
 
         Two stages (see the module docstring).  The candidate stage tries
         the messages through a row's first _TUPLES disjoint m-tuples of
@@ -168,12 +174,24 @@ class Codebook:
         the radius, so the outcome is that of bounded-distance decoding
         whichever stage or round finds it.
         """
-        words = _as_words(words, self.w, self.q)
-        radius = self.w - self.m
+        words = np.asarray(words)  # checked before the cast, so no float is truncated
+        integer = words.dtype.kind in "biu" or words.size == 0
+        if words.ndim != 2 or words.shape[1] != self.w or not integer:
+            raise InvalidInput(f"received words must be integer rows of length {self.w}, "
+                               f"got {words.dtype} of shape {words.shape}")
+        if words.min(initial=0) < ERASURE or words.max(initial=0) >= self.q:
+            raise InvalidInput("symbol values must lie in [0, q) or be ERASURE")
+        words = words.astype(np.int64, copy=False)
         erased = words == ERASURE
+        return self._decode(np.where(erased, 0, words), erased, noisy)
+
+    def _decode(self, received, erased, noisy: bool):
+        """`decode_words` on checked words: (L, w) int64 field elements, 0 where
+        the (L, w) mask erased is set, neither written; `identify_items` calls it."""
+        radius = self.w - self.m
         n_erased = erased.sum(axis=1)
-        items: list = [None] * len(words)
-        errors: list = [None] * len(words)
+        items: list = [None] * len(received)
+        errors: list = [None] * len(received)
         for row in np.nonzero(n_erased > radius)[0]:
             errors[row] = (
                 DecodingFailure("too few surviving symbols to identify any codeword")
@@ -183,9 +201,8 @@ class Codebook:
         rows = np.nonzero(n_erased <= radius)[0]
         if rows.size == 0:
             return items, errors
-
-        received, erased, n_erased = words[rows], erased[rows], n_erased[rows]
-        received[erased] = 0  # every entry a field element; erased ones are never checked
+        if rows.size < len(received):
+            received, erased, n_erased = received[rows], erased[rows], n_erased[rows]
         # Unerased positions first.  A row with fewer than tuples * m of them
         # fills its last tuples with erased ones; the check judges the
         # message they give like any other.
@@ -243,7 +260,7 @@ class Codebook:
         step = max(1, _BLOCK // (tuples * self.w))
         for lo in range(0, n_rows, step):
             hi = lo + step
-            codes = field.matmul(msg[lo:hi].reshape(-1, m), self._vand.T)
+            codes = self._encode(msg[lo:hi].reshape(-1, m))
             disagree = codes.reshape(-1, tuples, self.w) != received[lo:hi, None]
             wrong[lo:hi] = np.count_nonzero(disagree & ~erased[lo:hi, None], axis=2)
         if noisy:
@@ -314,7 +331,7 @@ class Codebook:
         return self._decode_one(rw, noisy=True)
 
     def _decode_one(self, rw, noisy: bool) -> int:
-        items, errors = self.decode_words(np.asarray(rw, dtype=np.int64)[None], noisy)
+        items, errors = self.decode_words(np.asarray(rw)[None], noisy)
         if errors[0] is not None:
             raise errors[0]
         return items[0]

@@ -11,7 +11,8 @@ gather, exp[log a + log b], with no zero masks.  The array kernels (matmul,
 batched interpolation and solve) are built on that gather.  The decoder
 finds messages with `interpolate`, which is closed-form Lagrange
 interpolation; `solve`, a pivoting Gaussian elimination, is its reference
-in the tests.
+in the tests.  `interpolate` gathers from the tables directly, with no call
+to `mul`; `Codebook` re-encodes from a log table it keeps.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _BLOCK = 1 << 18
 
 
 class GF2m:
-    """The field GF(2^ell), 2 <= ell <= 13."""
+    """The field GF(2^ell), 2 <= ell <= 13, with read-only tables `exp` and `log`."""
 
     def __init__(self, ell: int):
         if ell not in PRIMITIVE_POLYS:
@@ -71,19 +72,19 @@ class GF2m:
         assert x == 1, f"polynomial {poly:#x} is not primitive for ell={ell}"
         exp[order : 2 * order] = exp[:order]
         log[0] = 2 * order
-        self._exp = exp
-        self._log = log
+        exp.flags.writeable = log.flags.writeable = False
+        self.exp, self.log = exp, log
 
     def mul(self, a, b):
-        out = self._exp[self._log[np.asarray(a, dtype=np.int64)]
-                        + self._log[np.asarray(b, dtype=np.int64)]]
+        out = self.exp[self.log[np.asarray(a, dtype=np.int64)]
+                       + self.log[np.asarray(b, dtype=np.int64)]]
         return out.astype(np.int64) if out.ndim else int(out)
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of 0 in GF(2^ell)")
-        out = self._exp[(self.q - 1) - self._log[a]]
+        out = self.exp[(self.q - 1) - self.log[a]]
         return out.astype(np.int64) if out.ndim else int(out)
 
     def div(self, a, b):
@@ -92,14 +93,14 @@ class GF2m:
     def prod(self, a, axis: int = -1) -> np.ndarray:
         """Product of the elements of `a` along `axis`."""
         a = np.asarray(a, dtype=np.int64)
-        out = self._exp[self._log[a].sum(axis=axis) % (self.q - 1)].astype(np.int64)
+        out = self.exp[self.log[a].sum(axis=axis) % (self.q - 1)].astype(np.int64)
         return np.where((a == 0).any(axis=axis), 0, out)
 
     def vandermonde(self, points: np.ndarray, ncols: int) -> np.ndarray:
         """Matrix V with V[i, j] = points[i]**j."""
         points = np.asarray(points, dtype=np.int64)
         powers = np.arange(ncols)
-        out = self._exp[self._log[points][:, None] * powers % (self.q - 1)].astype(np.int64)
+        out = self.exp[self.log[points][:, None] * powers % (self.q - 1)].astype(np.int64)
         return np.where((points[:, None] == 0) & (powers > 0), 0, out)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,12 +112,12 @@ class GF2m:
         callers pass transposed views, and gathering along their strides is
         several times slower.
         """
-        log_a = self._log[np.asarray(a, dtype=np.int64)]
-        log_b = np.ascontiguousarray(self._log[np.asarray(b, dtype=np.int64)])
+        log_a = self.log[np.asarray(a, dtype=np.int64)]
+        log_b = np.ascontiguousarray(self.log[np.asarray(b, dtype=np.int64)])
         out = np.empty((log_a.shape[0], log_b.shape[1]), dtype=np.int64)
         step = max(1, _BLOCK // max(1, log_b.size))
         for lo in range(0, log_a.shape[0], step):
-            products = self._exp[log_a[lo : lo + step, :, None] + log_b]
+            products = self.exp[log_a[lo : lo + step, :, None] + log_b]
             out[lo : lo + step] = np.bitwise_xor.reduce(products, axis=1)
         return out
 
@@ -135,6 +136,7 @@ class GF2m:
         """
         points = np.asarray(points, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
+        exp, log = self.exp, self.log
         m, order = points.shape[-1], self.q - 1
         # others[..., i, :] lists the m - 1 points x_j, j != i.
         skip = np.arange(m - 1)
@@ -142,16 +144,17 @@ class GF2m:
         diffs = points[..., None] ^ others
         if np.any(diffs == 0):
             raise np.linalg.LinAlgError("repeated interpolation points over GF(2^ell)")
-        log_d = self._log[diffs].sum(axis=-1)
+        log_d = log.take(diffs).sum(axis=-1)
         # log(values_i / d_i), or the zero sentinel when values_i is 0.
-        log_w = np.where(values == 0, 2 * order, (self._log[values] - log_d) % order)
+        log_w = np.where(values == 0, 2 * order, (log.take(values) - log_d) % order)
         # N_i highest degree first: multiplying by (x + a) adds a times the
-        # coefficients one place up.
-        numer = np.zeros(points.shape + (m,), dtype=np.int64)
+        # coefficients one place up, one gather per step.
+        log_x = log.take(others)
+        numer = np.zeros(points.shape + (m,), dtype=exp.dtype)
         numer[..., 0] = 1
         for j in range(m - 1):
-            numer[..., 1 : j + 2] ^= self.mul(numer[..., : j + 1], others[..., j : j + 1])
-        terms = self._exp[log_w[..., None] + self._log[numer[..., ::-1]]]
+            numer[..., 1 : j + 2] ^= exp.take(log.take(numer[..., : j + 1]) + log_x[..., j : j + 1])
+        terms = exp.take(log_w[..., None] + log.take(numer[..., ::-1]))
         return np.bitwise_xor.reduce(terms, axis=-2).astype(np.int64)
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -174,7 +174,12 @@ class MaskingSet:
             # take() gathers faster than indexing with narrow positions, and
             # while every string is alive a column slice needs no row gather.
             part = flat[:, lo:hi] if alive.size == len(self) else flat[alive, lo:hi]
-            score += vec.take(part).sum(axis=1, dtype=np.int64)
+            # Short rows sum slowly: a pass narrower than _SCAN sums the
+            # transposed gather down its columns instead.
+            if hi - lo < _SCAN:
+                score += vec.take(part.T).sum(axis=0, dtype=np.int64)
+            else:
+                score += vec.take(part).sum(axis=1, dtype=np.int64)
             keep = score + cap * (w - hi) >= threshold
             alive, score = alive[keep], score[keep]
             lo, hi = hi, hi + max(_SCAN, _READS * len(self) // max(1, alive.size))

@@ -10,15 +10,17 @@ strings whose 1-positions are sufficiently covered (threshold w when
 noiseless, ceil((2w/c1 + w)/2) under noise), and each surviving string reads
 its w symbols out of batch 2, erasing positions where another surviving
 string also has a 1.  The |L| words then go through one batched decode:
-erasures only when noiseless, errors and erasures under noise.  Work is at
-most O(|S| w) for batch 1, and about O(|S| + |L| w) on a noiseless outcome,
-where almost every string drops out after a few segments
+erasures only when noiseless, errors and erasures under noise.  Each outcome
+is checked once, in O(t1), by the stage that reads it (`identify_strings`,
+`identify_items`); the words built from it are not checked again.  Work is
+then at most O(|S| w) for batch 1, and about O(|S| + |L| w) on a noiseless
+outcome, where almost every string drops out after a few segments
 (`MaskingSet.reaching`); plus about O(|L| T m w) for the candidate stage of
 `Codebook.decode_words` (T = 1 noiseless; under noise 8 for every word and
 32 for a word that none of its first 8 fits: one Lagrange interpolation and
-one re-encode per m-tuple), plus O(|L'| w^2) for the |L'| noisy words that no
-candidate fits (syndromes, Berlekamp-Massey, Chien search) - no term depends
-on n except through w and m.
+one re-encode, m gathers a symbol, per m-tuple), plus O(|L'| w^2) for the
+|L'| noisy words that no candidate fits (syndromes, Berlekamp-Massey, Chien
+search) - no term depends on n except through w and m.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ERASURE, Codebook
+from .code import Codebook
 from .errors import InvalidInput, MalformedResultFile
 from .masking import MaskingSet
 from .params import SchemeParams, checked_array, checked_integer
@@ -143,8 +145,16 @@ def simulate_outcomes(
 
 
 def identify_strings(y1: Batch1Outcome, mset: MaskingSet, threshold: int) -> np.ndarray:
-    """Indices (ascending) of strings with s^T y1 >= threshold, at most w gathers each."""
-    return mset.reaching(y1.bits, threshold)
+    """Indices (ascending) of strings with s^T y1 >= threshold, at most w gathers each.
+
+    Raises InvalidInput unless y1 is t1 bits in {0, 1} for the design and
+    the threshold an integer >= 0.
+    """
+    t1 = mset.params.t1
+    bits = checked_array("batch-1 outcome", y1.bits, 1, 2, np.uint8)
+    if bits.shape != (t1,):
+        raise InvalidInput(f"batch-1 outcome must be {t1} bits in {{0, 1}}, got {bits.shape}")
+    return mset.reaching(bits, checked_integer("threshold", threshold, low=0))
 
 
 def identify_items(
@@ -159,16 +169,24 @@ def identify_items(
     For each string in the list, its w received symbols are read from y2 with
     positions shared with *another listed string* marked as erasures (per the
     list's collision pattern, not the received values).  The (L, w) matrix of
-    words goes through one `Codebook.decode_words` call.  Strings whose word
-    fails to decode are dropped and tallied: (string index, reason) pairs.
-    Returns (estimate set, failures).
+    words goes through the decode of `Codebook.decode_words`, unchecked.
+    Strings whose word fails to decode are dropped and tallied: (string
+    index, reason) pairs.  Returns (estimate set, failures).  Raises
+    InvalidInput unless y2, the string list (indices in [0, |S|)) and the
+    codebook's w and ell fit the design.
     """
-    string_list = np.asarray(string_list, dtype=np.int64)
+    params = mset.params
+    symbols = checked_array("batch-2 outcome", y2.symbols, 1, params.q, np.int64)
+    if symbols.shape != (params.t1,) or y2.ell != params.ell:
+        raise InvalidInput(f"batch-2 outcome must be {params.t1} symbols in [0, 2^{params.ell}), "
+                           f"got shape {symbols.shape} with ell={y2.ell}")
+    if (codebook.w, codebook.ell) != (params.w, params.ell):
+        raise InvalidInput("the codebook's w and ell must be the design's")
+    string_list = checked_array("string list", string_list, 1, len(mset), np.int64)
     positions = mset.flat_positions[string_list]
     # A string never repeats a position, so a count above 1 is a collision.
-    erased = np.bincount(positions.ravel(), minlength=mset.params.t1).take(positions) > 1
-    words = np.where(erased, ERASURE, y2.symbols.take(positions))
-    items, errors = codebook.decode_words(words, noisy)
+    erased = np.bincount(positions.ravel(), minlength=params.t1).take(positions) > 1
+    items, errors = codebook._decode(np.where(erased, 0, symbols.take(positions)), erased, noisy)
     estimate = {item for item in items if item is not None}
     failures = [
         (int(string), type(error).__name__)
@@ -201,22 +219,8 @@ def decode(
     when the threshold is not an integer >= 0.
     """
     params = mset.params
-    if y1.bits.shape != (params.t1,) or y1.bits.max(initial=0) > 1:
-        raise InvalidInput(f"batch-1 outcome must be {params.t1} bits in {{0, 1}}")
-    symbols = y2.symbols
-    if (
-        symbols.shape != (params.t1,)
-        or y2.ell != params.ell
-        or symbols.min(initial=0) < 0
-        or symbols.max(initial=0) >= params.q
-    ):
-        raise InvalidInput(
-            f"batch-2 outcome must be {params.t1} symbols in [0, 2^{params.ell}), "
-            f"got shape {symbols.shape} with ell={y2.ell}"
-        )
     if threshold is None:
         threshold = batch1_threshold(params)
-    threshold = checked_integer("threshold", threshold, low=0)
     t0 = time.perf_counter()
     string_list = identify_strings(y1, mset, threshold)
     t1 = time.perf_counter()

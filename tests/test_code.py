@@ -404,6 +404,29 @@ def test_decode_words_validation():
     assert cb.decode_words(np.zeros((0, 10), dtype=np.int64), noisy=True) == ([], [])
 
 
+@pytest.mark.parametrize(
+    "decode",
+    [
+        lambda cb, word: cb.decode_words(word[None], noisy=False)[0][0],
+        lambda cb, word: cb.decode_words(word[None], noisy=True)[0][0],
+        lambda cb, word: cb.decode_erasures(word),
+        lambda cb, word: cb.decode_errors_and_erasures(word),
+    ],
+    ids=["words-noiseless", "words-noisy", "erasures", "errors-and-erasures"],
+)
+@pytest.mark.parametrize("shift", [0.4, 0.0], ids=["fraction", "whole"])
+def test_decode_words_refuses_non_integer_symbols(decode, shift):
+    # a float word was cast to int64: 4.4 read as 4, so the word decoded to item 5
+    cb = Codebook(n=100, w=10, ell=4)
+    word = cb.encode_index(5)
+    word[:2] = ERASURE
+    assert decode(cb, word) == 5
+    word = word.astype(float)
+    word[2] += shift
+    with pytest.raises(InvalidInput):
+        decode(cb, word)
+
+
 def test_decode_words_tries_later_tuples_only_for_rows_round_one_leaves(monkeypatch):
     # at w // m = 127 tuples there are _TUPLES candidates per noisy row, tried
     # in two rounds: the first _ROUND for every row, the rest for the rows

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -343,6 +345,67 @@ def test_decode_rejects_outcomes_that_do_not_fit_the_design(malform):
     y1, y2 = simulate_outcomes([3, 100, 2000], asg, mset, cb)
     with pytest.raises(InvalidInput):
         decode(*malform(y1, y2), mset, cb)
+
+
+def _with(outcome, **fields):
+    """A copy of an outcome with fields set after construction, past its checks."""
+    outcome = copy.copy(outcome)
+    for name, value in fields.items():
+        setattr(outcome, name, value)
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda y1, thr: (Batch1Outcome(np.concatenate([y1.bits, np.zeros(50, np.uint8)])), thr),
+        lambda y1, thr: (Batch1Outcome(y1.bits[:-10]), thr),
+        lambda y1, thr: (_with(y1, bits=2 * y1.bits), thr),
+        lambda y1, thr: (_with(y1, bits=y1.bits.astype(float)), thr),
+        lambda y1, thr: (y1, thr + 0.5),
+        lambda y1, thr: (y1, float(thr)),
+        lambda y1, thr: (y1, -1),
+        lambda y1, thr: (y1, True),
+        lambda y1, thr: (y1, str(thr)),
+    ],
+    ids=["y1-long", "y1-short", "y1-nonbinary", "y1-float", "threshold-fraction",
+         "threshold-float", "threshold-negative", "threshold-bool", "threshold-str"],
+)
+def test_identify_strings_rejects_inputs_that_do_not_fit_the_design(malform):
+    # unchecked, t1 + 50 bits listed strings [0 20 21] and t1 - 10 bits
+    # raised a raw IndexError
+    p, mset, cb, asg = _design(2**12, 4)
+    y1, _ = simulate_outcomes([3, 100, 2000], asg, mset, cb)
+    y1, threshold = malform(y1, batch1_threshold(p))
+    with pytest.raises(InvalidInput):
+        identify_strings(y1, mset, threshold)
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda s, y2, strings, cb: (Batch2Outcome(y2.symbols[:-5], y2.ell), strings, cb),
+        lambda s, y2, strings, cb: (Batch2Outcome(y2.symbols, y2.ell + 3), strings, cb),
+        lambda s, y2, strings, cb: (_with(y2, symbols=y2.symbols + (1 << y2.ell)), strings, cb),
+        lambda s, y2, strings, cb: (_with(y2, symbols=y2.symbols.astype(float)), strings, cb),
+        lambda s, y2, strings, cb: (y2, np.append(strings, s + 5), cb),
+        lambda s, y2, strings, cb: (y2, np.append(strings, -1), cb),
+        lambda s, y2, strings, cb: (y2, np.array([1.7]), cb),
+        lambda s, y2, strings, cb: (y2, strings[:, None], cb),
+        lambda s, y2, strings, cb: (y2, strings, Codebook(cb.n, cb.w - 1, cb.ell)),
+        lambda s, y2, strings, cb: (y2, strings, Codebook(cb.n, cb.w, cb.ell + 1)),
+    ],
+    ids=["y2-short", "y2-ell", "y2-symbol-range", "y2-float", "string-above-S",
+         "string-negative", "string-float", "strings-2d", "codebook-w", "codebook-ell"],
+)
+def test_identify_items_rejects_inputs_that_do_not_fit_the_design(malform):
+    p, mset, cb, asg = _design(2**12, 4)
+    _, y2 = simulate_outcomes([3, 100, 2000], asg, mset, cb)
+    strings = np.unique(asg.index_of([3, 100, 2000]))
+    assert identify_items(y2, strings, mset, cb, noisy=False)[0] == {3, 100, 2000}
+    y2, strings, cb = malform(p.s_size, y2, strings, cb)
+    with pytest.raises(InvalidInput):
+        identify_items(y2, strings, mset, cb, noisy=False)
 
 
 def test_noisy_string_identification_rate():
