@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .bundle import build_design, load_design, save_design
-from .errors import BitmixError
+from .errors import BitmixError, InvalidInput
 from .harness import (
     CellSpec,
     ExperimentConfig,
@@ -130,8 +131,12 @@ def _cmd_run(args) -> int:
             print(f"run --config takes its cells and run settings from the file, "
                   f"not from {flags}", file=sys.stderr)
             return 2
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_json(json.load(fh))
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidInput(f"{args.config}: {exc}") from exc
+        cfg = ExperimentConfig.from_json(obj)
     else:
         args = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
         if args.n is None or args.k is None:
@@ -148,6 +153,8 @@ def _cmd_run(args) -> int:
         )
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, threads=args.threads)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise InvalidInput(f"{args.out}: its directory does not exist")
     results, _ = run_experiment(cfg, out_path=args.out)
     for cell in results["cells"]:
         spec = cell["spec"]

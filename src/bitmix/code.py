@@ -88,6 +88,17 @@ _ROUND = 8
 _BLOCK = 1 << 20
 
 
+def _first_unset(mask, count: int) -> np.ndarray:
+    """np.argsort(mask, axis=1, kind="stable")[:, :count] for an (L, w) bool mask,
+    from the keys mask * w + j (distinct in a row) in the narrowest type that
+    holds them, which numpy sorts much faster than it stably sorts bools."""
+    w = mask.shape[1]
+    dtype = np.min_scalar_type(2 * w - 1)
+    keys = mask * dtype.type(w) + np.arange(w, dtype=dtype)
+    keys.sort(axis=1)
+    return keys[:, :count] % w
+
+
 class Codebook:
     """Evaluation-code view of the items: w symbols of ell bits each."""
 
@@ -207,8 +218,7 @@ class Codebook:
         # fills its last tuples with erased ones; the check judges the
         # message they give like any other.
         tuples = min(_TUPLES if noisy else 1, self.w // self.m)
-        keep = np.argsort(erased, axis=1, kind="stable")[:, : tuples * self.m]
-        keep = keep.reshape(len(rows), tuples, self.m)
+        keep = _first_unset(erased, tuples * self.m).reshape(len(rows), tuples, self.m)
         # Round 1: every row's first _ROUND tuples (its only one when noiseless).
         msg, ok = self._fit(received, erased, n_erased, keep[:, :_ROUND], noisy)
         first = np.argmax(ok, axis=1)
@@ -226,7 +236,7 @@ class Codebook:
             errata = sub[1] | self._locate_errors(*sub)
             # The first m positions outside the errata.  A word beyond the
             # radius may have fewer, so the interpolation reads errata too.
-            keep = np.argsort(errata, axis=1, kind="stable")[:, None, : self.m]
+            keep = _first_unset(errata, self.m)[:, None]
             fitted, passed = self._fit(*sub, keep, noisy)
             msg[left], ok[left] = fitted[:, 0], passed[:, 0]
         index = np.dot(msg.astype(object), [self.q**d for d in range(self.m)]) + 1
@@ -277,7 +287,7 @@ class Codebook:
         # Erasure locators prod_{j erased} (1 + b_j x), one factor per pass.
         locator = np.zeros((len(received), width), dtype=np.int64)
         locator[:, 0] = 1
-        erased_first = np.argsort(~erased, axis=1, kind="stable")
+        erased_first = _first_unset(~erased, int(n_erased.max()))
         for t in range(int(n_erased.max())):
             root = np.where(t < n_erased, translated[erased_first[:, t]], 0)
             locator[:, 1 : t + 2] ^= field.mul(locator[:, : t + 1], root[:, None])

@@ -121,7 +121,8 @@ class MaskingSet:
         In the narrowest unsigned type that holds t1 - 1: uint16, 2 |S| w
         bytes, up to t1 = 2^16, which covers every benchmark cell.  The
         offsets' type is never wider, so their sum with the segment starts
-        is taken in this type and cannot wrap.
+        is taken in this type and cannot wrap.  Set-up never reads it; the
+        harness builds it before its trial threads start, so none holds it.
         """
         p = self.params
         seg = (np.arange(p.w) * p.segment_len).astype(np.min_scalar_type(p.t1 - 1))

@@ -195,6 +195,29 @@ def test_run_rejects_a_bad_kprime(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_run_refuses_an_unreadable_config(tmp_path, capsys):
+    # a missing or truncated file is a typed error naming the file, not a traceback
+    missing, truncated = tmp_path / "none.json", tmp_path / "cut.json"
+    truncated.write_text('{"cells": [')
+    for path in (missing, truncated):
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_run_refuses_a_missing_out_directory_before_any_trial(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr("bitmix.cli.run_experiment",
+                        lambda cfg, out_path: seen.append(cfg))
+    out = tmp_path / "no-such-dir" / "r.json"
+    rc = main(["run", "--n", "4096", "--k", "2", "--regime", "smallk",
+               "--trials", "5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert not seen
+
+
 def test_run_missing_cell_args(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path / "r.json")])
     assert rc == 2

@@ -517,3 +517,17 @@ def test_decode_words_in_two_rounds_matches_one_round(monkeypatch, n, w, ell):
     monkeypatch.setattr(code, "_ROUND", code._TUPLES)
     assert outcomes() == two_rounds
     assert len(fitted) == 2
+
+
+@pytest.mark.parametrize("w", [2, 3, 127, 128, 129, 381, 497, 4096, 8191])
+def test_first_unset_matches_a_stable_argsort(w):
+    # the decoder's positions of unerased symbols first, then erased ones,
+    # with rows that hold fewer unset positions than count
+    rng = np.random.default_rng(w)
+    rows = 12
+    mask = rng.random((rows, w)) < rng.uniform(0.0, 1.0, size=(rows, 1))
+    mask[0], mask[1] = True, False
+    for count in sorted({1, min(3, w), w // 2 + 1, w}):
+        want = np.argsort(mask, axis=1, kind="stable")[:, :count]
+        assert np.array_equal(code._first_unset(mask, count), want)
+        assert np.array_equal(code._first_unset(mask[:0], count), want[:0])
