@@ -1,24 +1,20 @@
 """A design bundle pins everything the test design depends on.
 
 Masking set + codebook shape + assignment seed fully determine both batches
-for every item, so a persisted bundle can be rebuilt bit-identically later or
-on another machine.  The bundle is the only persisted design format: JSON
-with the params, the base64 string offsets and a sha256 over the canonical
-payload; any edit (or a params/offsets mismatch), a key the format does not
-hold, or a count or seed that is not an integer in range surfaces as
-CorruptDesignFile, its message led by the file's path.
-
-The base64 offsets text is nearly the whole file (3.2 MB at (2^20, 20)), and
-JSON escapes none of its characters.  So it goes into the hash and the file
-as it is, between the JSON before and after it, which json.dumps lays out
-from the payload with a stand-in text (see _json_pieces).  The text stays
-ASCII bytes from the encoder to the file, and on a load one ASCII copy of it
-is checked while hashing and decoded in one strict pass.
+for every item, and the masking set is construct_candidate(params, seed), so
+a design is defined by its params and its two seeds.  The bundle is the only
+persisted design format: JSON with the params, both seeds, the set's status,
+a sha256 of its offsets table (offsets_sha256) and a sha256 over the
+canonical payload.  A load rebuilds the set from its seed and checks the
+rebuilt table against offsets_sha256, which also catches a numpy whose
+Generator draws another stream.  save_design writes only sets whose offsets
+are their seed's.  Any edit, a key the format does not hold, or a count or
+seed that is not an integer in range surfaces as CorruptDesignFile, its
+message led by the file's path.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import Codebook
-from .errors import BitmixError, CorruptDesignFile
+from .errors import BitmixError, CorruptDesignFile, InvalidInput
 from .masking import (
     MaskingSet,
     build_lcs,
@@ -45,19 +41,13 @@ from .scheme import Assignment
 from .seeding import derive_seed
 
 _BUNDLE_FORMAT = "bitmix-design"
-_BUNDLE_VERSION = 1
-# The nested masking payload keeps its own tag and version: they are part of
-# the hashed bytes, so dropping them would stop saved designs from loading.
+_BUNDLE_VERSION = 2
 _SET_FORMAT = "bitmix-masking-set"
-_SET_VERSION = 1
-# The keys each object of a design file may hold: the ones save_design
-# writes (a file from before offsets_dtype was written lacks that one).
+_SET_VERSION = 2
+# The keys each object of a design file may hold: the ones save_design writes.
 _BUNDLE_KEYS = frozenset({"format", "version", "assignment_seed", "codebook", "masking"})
-_SET_KEYS = frozenset(
-    {"format", "version", "regime", "params", "seed", "status", "offsets_dtype", "offsets"}
-)
+_SET_KEYS = frozenset({"format", "version", "regime", "params", "seed", "status", "offsets_sha256"})
 _CODEBOOK_KEYS = frozenset({"w", "ell", "m"})
-_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
 @dataclass
@@ -112,54 +102,18 @@ def build_design(
     return DesignBundle(mset, assign_seed)
 
 
-def _offsets_text(payload: dict) -> bytes:
-    """payload's masking offsets text as ASCII bytes; a non-ASCII character becomes "?"."""
-    masking = payload.get("masking")
-    text = masking.get("offsets") if isinstance(masking, dict) else None
-    if isinstance(text, str):
-        text = text.encode("ascii", "replace")
-    if not isinstance(text, bytes):
-        raise CorruptDesignFile("no masking offsets text in the design")
-    return text
-
-
-def _json_pieces(payload: dict, indent: int | None = None) -> tuple[str, bytes, str]:
-    """(head, offsets, tail): payload's sorted-key JSON, the masking offsets text unescaped.
-
-    The offsets text may be a str or its ASCII bytes, and comes back as
-    bytes.  json.dumps renders payload (compact when indent is None) once
-    with the offsets text "" and once with "A".  The two texts differ only
-    inside that string, so their common prefix is the head and the rest of
-    the "" text is the tail.  The pieces join to json.dumps's text of
-    payload when the offsets text is base64, which _sha256 checks.
-    """
-    text = _offsets_text(payload)
-    masking = payload["masking"]
-    empty, one = (
-        json.dumps({**payload, "masking": {**masking, "offsets": stand_in}}, sort_keys=True,
-                   indent=indent, separators=(",", ":") if indent is None else None)
-        for stand_in in ("", "A")
-    )
-    at = len(os.path.commonprefix([empty, one]))
-    return empty[:at], text, empty[at:]
-
-
 def _sha256(payload: dict) -> str:
-    """Hex sha256 of the canonical (sorted-key, compact) JSON of payload.
+    """Hex sha256 of the canonical (sorted-key, compact) JSON of payload."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
-    The hash is fed three pieces, the JSON before the masking offsets text,
-    the text and the JSON after it, once the text is checked to be base64:
-    the alphabet, then at most two '='.  Anything else, which JSON might
-    escape, raises CorruptDesignFile.
-    """
-    head, text, tail = _json_pieces(payload)
-    body = text.rstrip(b"=")
-    if len(text) - len(body) > 2 or body.translate(None, _BASE64_ALPHABET):
-        raise CorruptDesignFile("the masking offsets are not base64 text")
-    digest = hashlib.sha256(head.encode("ascii"))
-    digest.update(text)
-    digest.update(tail.encode("ascii"))
-    return digest.hexdigest()
+
+def _offsets_sha256(offsets: np.ndarray) -> str:
+    """Hex sha256 of the table's bytes, row by row, each offset little-endian
+    in the table's own type (the narrowest unsigned one that holds c1*k - 1)."""
+    return hashlib.sha256(
+        np.ascontiguousarray(offsets, dtype=offsets.dtype.newbyteorder("<"))
+    ).hexdigest()
 
 
 def _seed(name: str, value) -> int:
@@ -167,7 +121,7 @@ def _seed(name: str, value) -> int:
     # another; derive_seed, which makes both seeds, never gives one.
     seed = checked_integer(name, value, low=0)
     if seed >= 1 << 64:
-        raise CorruptDesignFile(f"{name} must be below {1 << 64}, got {seed}")
+        raise InvalidInput(f"{name} must be below {1 << 64}, got {seed}")
     return seed
 
 
@@ -178,17 +132,20 @@ def _check_keys(obj: dict, allowed: frozenset, what: str) -> None:
 
 
 def _canonical_payload(mset: MaskingSet) -> dict:
-    dtype = "<u2" if mset.params.segment_len <= 0xFFFF else "<u4"
+    seed = _seed("masking seed", mset.seed)
+    if not np.array_equal(mset.offsets, construct_candidate(mset.params, seed).offsets):
+        raise InvalidInput(
+            f"the masking offsets are not those construct_candidate draws from seed {seed}, "
+            "so a design file, which holds only the seed, cannot keep them"
+        )
     return {
         "format": _SET_FORMAT,
         "version": _SET_VERSION,
         "regime": mset.params.regime,
         "params": mset.params.to_json(),
-        "seed": int(mset.seed),
+        "seed": seed,
         "status": mset.status,
-        "offsets_dtype": dtype,
-        # ASCII bytes, which _json_pieces takes as they are.
-        "offsets": base64.b64encode(np.ascontiguousarray(mset.offsets, dtype=dtype)),
+        "offsets_sha256": _offsets_sha256(mset.offsets),
     }
 
 
@@ -198,17 +155,18 @@ def _masking_set_from_payload(payload) -> MaskingSet:
     if checked_integer("version", payload.get("version")) != _SET_VERSION:
         raise CorruptDesignFile(f"unsupported version {payload.get('version')!r}")
     _check_keys(payload, _SET_KEYS, "masking set")
-    dtype = payload.get("offsets_dtype", "<u2")
-    if dtype not in ("<u2", "<u4"):
-        raise CorruptDesignFile(f"unsupported offsets dtype {dtype!r}")
     params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
-    # One strict pass, which also refuses padding in the wrong place.
-    raw = base64.b64decode(payload["offsets"], validate=True)
-    offsets = np.frombuffer(raw, dtype=dtype).reshape(params.s_size, params.w)
-    return MaskingSet(offsets, params, _seed("seed", payload["seed"]), payload["status"])
+    seed = _seed("seed", payload["seed"])
+    mset = construct_candidate(params, seed)
+    if _offsets_sha256(mset.offsets) != payload["offsets_sha256"]:
+        raise CorruptDesignFile(
+            f"the offsets rebuilt from seed {seed} do not match the file's offsets_sha256"
+        )
+    return MaskingSet(mset.offsets, params, seed, payload["status"])
 
 
 def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
+    """Write bundle as a design file; InvalidInput when its offsets are not its seed's."""
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
@@ -221,19 +179,17 @@ def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
         "masking": _canonical_payload(bundle.masking),
     }
     payload["sha256"] = _sha256(payload)
-    head, offsets, tail = _json_pieces(payload, indent=1)
     with open(path, "wb") as fh:
-        fh.write(head.encode("ascii"))
-        fh.write(offsets)
-        fh.write(tail.encode("ascii") + b"\n")
+        fh.write((json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("ascii"))
 
 
 def load_design(path: str | os.PathLike) -> DesignBundle:
+    # MemoryError: the params name a set too large to rebuild here.
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
         return _bundle_from_payload(payload)
-    except (BitmixError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (BitmixError, OSError, ValueError, KeyError, TypeError, MemoryError) as exc:
         raise CorruptDesignFile(f"{path}: {exc}") from exc
 
 
@@ -242,8 +198,6 @@ def _bundle_from_payload(payload) -> DesignBundle:
         raise CorruptDesignFile("not a design file")
     if checked_integer("version", payload.get("version")) != _BUNDLE_VERSION:
         raise CorruptDesignFile(f"unsupported version {payload.get('version')!r}")
-    # The hash and the strict decode read the same ASCII copy of the text.
-    payload["masking"]["offsets"] = _offsets_text(payload)
     if payload.pop("sha256", None) != _sha256(payload):
         raise CorruptDesignFile("content hash mismatch")
     _check_keys(payload, _BUNDLE_KEYS, "design")

@@ -175,17 +175,8 @@ def message_length(n: int, ell: int) -> int:
     return max(1, math.ceil((int(n) - 1).bit_length() / ell))
 
 
-def _log2_int(n: int) -> float:
-    # log2 n for the sizing formulas (message_length counts digits exactly);
-    # avoids float conversion overflow for n >= 2^1024.
-    if n < (1 << 53):
-        return math.log2(n)
-    hi = n.bit_length() - 53
-    return hi + math.log2(n >> hi)
-
-
 def _w_for_ell(n: int, k: int, delta: float, ell: int) -> int:
-    log2n = _log2_int(n)
+    log2n = math.log2(n)
     m = message_length(n, ell)
     w_code = math.ceil(3.0 * log2n / ell)
     w_conc = math.ceil(70.0 * math.log(k / delta))
@@ -201,14 +192,17 @@ def derive_params(
     """Derive a self-consistent SchemeParams from the primitive inputs.
 
     Raises InvalidInput when n or k is not an integer (bools included), xi is
-    not a number, k > n, xi lies outside [0, 1/2), k=1 is requested
-    in the general regime (delta is undefined there; use smallk), k > 8 is
-    requested in the smallk regime, or no c1 <= 64 meets the noisy margin.
+    not a number, k > n, n >= 2^63 (items are numbered in int64), xi lies
+    outside [0, 1/2), k=1 is requested in the general regime (delta is
+    undefined there; use smallk), k > 8 is requested in the smallk regime, or
+    no c1 <= 64 meets the noisy margin.
     """
     n, k = checked_integer("n", n), checked_integer("k", k)
     xi = checked_real("xi", xi)
     if n < 1 or k < 1 or k > n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
+    if n >= 1 << 63:
+        raise InvalidInput(f"n must be below 2^63 (items are numbered in int64), got {n}")
     if not (0.0 <= xi < 0.5):
         raise InvalidInput(f"xi must be in [0, 1/2), got {xi}")
     if regime not in REGIMES:
@@ -270,6 +264,6 @@ def total_test_bound(params: SchemeParams) -> float:
     12 k * max{((ell+1)/ell) log2 n, 50 (ell+1) ln k}."""
     ell = params.ell
     return 12.0 * params.k * max(
-        (ell + 1) / ell * _log2_int(params.n),
+        (ell + 1) / ell * math.log2(params.n),
         50.0 * (ell + 1) * math.log(params.k),
     )

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bitmix.cli import main
-from bitmix.bundle import build_design, save_design
+from bitmix.bundle import _sha256, build_design, save_design
 
 
 def test_build_and_verify_smallk(tmp_path, capsys):
@@ -36,15 +36,22 @@ def test_verify_set_refuses_a_missing_or_edited_design(tmp_path, capsys):
     missing = tmp_path / "none.json"
     assert main(["verify-set", "--design", str(missing)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {missing}:")
-    # one offsets character changed, still base64: the content hash fails
+    # the masking seed edited: without a new content hash the hash fails, and
+    # with one the rebuilt offsets fail their digest
     path = tmp_path / "design.json"
     save_design(build_design(2**12, 4, seed=3, verify=False), path)
-    text = path.read_text()
-    at = text.index('"offsets": "') + len('"offsets": "')
-    path.write_text(text[:at] + ("B" if text[at] == "A" else "A") + text[at + 1:])
+    payload = json.loads(path.read_text())
+    payload["masking"]["seed"] += 1
+    path.write_text(json.dumps(payload))
     assert main(["verify-set", "--design", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and "hash" in err
+    del payload["sha256"]
+    payload["sha256"] = _sha256(payload)
+    path.write_text(json.dumps(payload))
+    assert main(["verify-set", "--design", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "offsets_sha256" in err
 
 
 def test_build_design_missing_args(capsys):
@@ -231,6 +238,16 @@ def test_run_exit_code_on_construction_failure(tmp_path, capsys):
     ])
     assert rc == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_run_refuses_n_of_2_63(tmp_path, capsys):
+    # items are numbered in int64: refused before a design is built
+    out = tmp_path / "r.json"
+    rc = main(["run", "--n", "9223372036854775808", "--k", "3", "--no-verify",
+               "--trials", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: n must be below 2^63")
+    assert not out.exists()
 
 
 def test_report_missing_results(tmp_path, capsys):

@@ -750,24 +750,23 @@ def test_save_load_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "k, dtype, sha256",
-    [(64, np.uint8, "6f8c213394a397ff019ee20a84d60ecf2d2877fb6fcc3255efb993690cfbe832"),
-     (65, np.uint16, "3a5725e3f75285ddbf2d4533951fd80b02979f2a80d2df374456ce0d36746734")],
+    [(64, np.uint8, "e3b2fbb8ac5fa7b396e6a9bfe219b770b39b823536ec7f0b1a77f73ae3a4539f"),
+     (65, np.uint16, "1107bf07a04fc0b98afcc27808736d003c72b1b939750dcc083fb03624ef3cd6")],
     ids=["c1k=256", "c1k=260"],
 )
 def test_narrow_offsets_round_trip_keeps_the_file_and_a_writable_table(tmp_path, k, dtype,
                                                                        sha256):
-    # uint8 offsets are widened to the file's <u2; uint16 ones are the file's
-    # own type, and the loaded table is not a view of the read-only bytes.
-    # The digests are of the files that int32 tables wrote.
+    # the digest reads uint8 offsets one byte each and uint16 ones as <u2;
+    # the rebuilt table is the set's own and writable
     p = _params(n=2**14 + 1, k=k, w=40, ell=6, s_size=50)
-    offsets = np.random.default_rng(7).integers(0, p.segment_len, size=(50, 40))
-    offsets[0] = p.segment_len - 1
+    mset = construct_candidate(p, seed=3)
+    assert mset.offsets.max() == p.segment_len - 1
     path = tmp_path / "design.json"
-    save_design(DesignBundle(MaskingSet(offsets, p, seed=3), assignment_seed=5), path)
+    save_design(DesignBundle(mset, assignment_seed=5), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     back = load_design(path).masking
     assert back.offsets.dtype == dtype and back.offsets.flags.writeable
-    assert np.array_equal(back.offsets, offsets)
+    assert np.array_equal(back.offsets, mset.offsets)
     again = tmp_path / "again.json"
     save_design(DesignBundle(back, assignment_seed=5), again)
     assert again.read_bytes() == path.read_bytes()
@@ -812,19 +811,16 @@ def test_payload_version_check(tmp_path):
 
 
 def test_wide_segment_round_trip(tmp_path):
-    # segment length beyond 16-bit range forces the wider offsets encoding
+    # a segment of 2^16 bits: offsets up to 65535, the widest uint16 table
     k = 2**14
     p = SchemeParams(
         n=2**20, k=k, delta=0.5, w=16, ell=5, c1=4, s_size=2,
         t1=4 * k * 16, t2=5 * 4 * k * 16, xi=0.0,
     )
     assert p.segment_len == 65536
-    rng = np.random.default_rng(0)
-    offsets = rng.integers(0, p.segment_len, size=(2, 16))
-    mset = MaskingSet(offsets.astype(np.int64), p, seed=0, status=STATUS_UNVERIFIED)
+    mset = construct_candidate(p, seed=0)
+    assert mset.offsets.dtype == np.uint16
     path = tmp_path / "wide.json"
     _save_set(mset, path)
-    payload = json.loads(path.read_text())
-    assert payload["masking"]["offsets_dtype"] == "<u4"
     back = load_design(path).masking
-    assert np.array_equal(back.offsets, offsets)
+    assert np.array_equal(back.offsets, mset.offsets)

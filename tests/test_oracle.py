@@ -1,3 +1,4 @@
+import base64
 import copy
 import hashlib
 import json
@@ -5,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from bitmix.bundle import _sha256, build_design, load_design, save_design
-from bitmix.errors import CorruptDesignFile
+from bitmix.bundle import DesignBundle, _sha256, build_design, load_design, save_design
+from bitmix.errors import CorruptDesignFile, InvalidInput
+from bitmix.masking import MaskingSet, construct_candidate
 from bitmix.params import REGIME_SMALLK
 from bitmix.scheme import decode, simulate_outcomes
 
@@ -235,12 +237,10 @@ def _reference_sha256(payload) -> str:
 _DELETE = object()
 _SPOILS = (_DELETE, None, True, 1.5, -1, 0, 2**70, "x", "", [], {}, [1], {"a": 1})
 # The only edits that still load: a field set to a value save_design could
-# have written, or an offsets_dtype left out as by a file from before it was
-# written.
+# have written for this design.  A masking seed of 0 is not one: its set
+# rebuilds to other offsets than the file's digest.
 _LEGITIMATE_LOADS = {
     ("", "assignment_seed", 0),
-    ("masking", "offsets_dtype", "deleted"),
-    ("masking", "seed", 0),
     ("masking.params", "xi", 0),
 }
 
@@ -278,56 +278,12 @@ def _reach(payload: dict, where: str) -> dict:
     return payload
 
 
-def test_spliced_hash_matches_the_canonical_json(tmp_path):
-    # _sha256 splices the offsets text in unescaped; on every payload it
-    # must equal the hash of json.dumps's canonical text
-    payloads = []
-    for kwargs in (dict(n=2**12, k=4, seed=3), dict(n=2**16, k=2, regime=REGIME_SMALLK)):
-        payload = _saved_payload(tmp_path, **kwargs)
-        recorded = payload.pop("sha256")
-        assert _sha256(payload) == recorded
-        payloads.append(payload)
-    for text in ("", "AA==", "AAA=", "AAAA"):  # "=" and "==" padding
-        payloads.append(copy.deepcopy(payloads[0]))
-        payloads[-1]["masking"]["offsets"] = text
-    look_alike = copy.deepcopy(payloads[0])
-    look_alike["masking"]["status"] = '"offsets":""'
-    look_alike["masking"]["params"]['"offsets":""'] = '"offsets":""'
-    look_alike["masking"]["params"]["offsets"] = ""
-    look_alike["offsets"] = "AB=="
-    look_alike["codebook"]["offsets"] = {"offsets": "\"\\\n\u00e9"}
-    payloads.append(look_alike)
-    for payload in payloads:
-        assert _sha256(payload) == _reference_sha256(payload)
-
-
-@pytest.mark.parametrize(
-    "offsets", ['AA"=', "AA\\=", "AA\n=", "AA\u00e9=", "A===", 1234, None, ["AAAA"]],
-    ids=["quote", "backslash", "newline", "non-ascii", "three-pads", "number", "null", "list"],
-)
-@pytest.mark.parametrize("rehash", [False, True])
-def test_offsets_text_must_be_base64(tmp_path, offsets, rehash):
-    # JSON would escape these, or cannot splice them: with the file's own
-    # hash or one over the spoiled canonical JSON, each is refused
-    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
-    del payload["sha256"]
-    payload["masking"]["offsets"] = offsets
-    with pytest.raises(CorruptDesignFile):
-        _sha256(payload)
-    payload["sha256"] = _reference_sha256(payload) if rehash else "0" * 64
-    path = tmp_path / "spoiled.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptDesignFile):
-        load_design(path)
-
-
 @pytest.mark.parametrize(
     "n,k,xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)],
     ids=["clean-k10", "noisy-k10", "wide-k20"],
 )
 def test_saved_file_is_the_indented_json(tmp_path, n, k, xi):
-    # the file is written in pieces around the offsets text; its bytes are
-    # still json.dumps's, at the benchmark's cells
+    # the file's bytes are json.dumps's indented text, at the benchmark's cells
     path = tmp_path / "design.json"
     save_design(build_design(n, k, xi=xi, seed=1, verify=False), path)
     payload = json.loads(path.read_text())
@@ -338,11 +294,11 @@ def test_saved_file_is_the_indented_json(tmp_path, n, k, xi):
     "kwargs,sha256",
     [
         (dict(n=2**12, k=4, seed=3, verify=False),
-         "8d84a2bf3e391e212c27eec5c3d0a4d1feab808bad3fdc88ae139020c21ddd4e"),
+         "54b0a552ba89f2df61c803776b0ae469460535f47cea2f65eff7709c4d88869f"),
         (dict(n=2**16, k=5, xi=0.05, seed=2, verify=False),
-         "cca11e20470535ed6b08a1d8b262b97a1dee773a1a60a3a9b200bb18f2e26cac"),
+         "e2b05333d6cec5ca98d205d0c269beabb014f47d471696c96834c96db3b70b69"),
         (dict(n=2**16, k=2, regime=REGIME_SMALLK, seed=1),
-         "4f9262067516eae27920b5fe0cf140220589990cf897beb52199b3dd022b6a16"),
+         "1ab9c9458a89cd326e2c93ce7b09f13501eb4b7573100454842ce9b375461625"),
     ],
     ids=["general", "general-noisy", "smallk"],
 )
@@ -354,6 +310,100 @@ def test_design_file_bytes_are_stable(tmp_path, kwargs, sha256):
     save_design(bundle, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     assert load_design(path).params == bundle.params
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(n=2**16, k=2, regime=REGIME_SMALLK, seed=4), dict(n=2**20, k=20, seed=1, verify=False)],
+    ids=["smallk-verified", "wide-k20"],
+)
+def test_load_rebuilds_the_saved_table(tmp_path, kwargs):
+    # the file holds the seed and a digest, not the offsets: 3,177,418 bytes
+    # at (2^20, 20) while it held them
+    bundle = build_design(**kwargs)
+    path = tmp_path / "design.json"
+    save_design(bundle, path)
+    assert path.stat().st_size < 1024
+    back = load_design(path).masking
+    assert np.array_equal(back.offsets, bundle.masking.offsets)
+    assert back.offsets.dtype == bundle.masking.offsets.dtype
+    assert (back.seed, back.status) == (bundle.masking.seed, bundle.masking.status)
+
+
+def test_save_refuses_a_set_that_is_not_its_seeds(tmp_path):
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    mset = bundle.masking
+    p = mset.params
+    edited = mset.offsets.copy()
+    edited[0, 0] = (edited[0, 0] + 1) % p.segment_len
+    path = tmp_path / "design.json"
+    hand_built = [
+        MaskingSet(edited, p, mset.seed),
+        MaskingSet(mset.offsets, p, mset.seed + 1),
+        MaskingSet(mset.offsets, p, -1),
+    ]
+    for other in hand_built:
+        with pytest.raises(InvalidInput, match="seed"):
+            save_design(DesignBundle(other, bundle.assignment_seed), path)
+        assert not path.exists()
+
+
+def test_load_refuses_a_rehashed_seed_edit(tmp_path):
+    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del payload["sha256"]
+    payload["masking"]["seed"] += 1
+    payload["sha256"] = _sha256(payload)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptDesignFile, match="offsets_sha256") as info:
+        load_design(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_load_refuses_a_set_that_rebuilds_to_other_offsets(tmp_path, monkeypatch):
+    # as a numpy whose Generator draws another stream would rebuild it
+    path = tmp_path / "design.json"
+    save_design(build_design(2**12, 4, seed=3, verify=False), path)
+
+    def flipped(params, seed):
+        mset = construct_candidate(params, seed)
+        mset.offsets[-1, -1] = (mset.offsets[-1, -1] + 1) % params.segment_len
+        return mset
+
+    monkeypatch.setattr("bitmix.bundle.construct_candidate", flipped)
+    with pytest.raises(CorruptDesignFile, match="offsets_sha256") as info:
+        load_design(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_load_refuses_a_set_too_large_to_rebuild(tmp_path):
+    # 2^50 strings of w offsets: far more than any address space, so the
+    # allocation fails at once
+    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del payload["sha256"]
+    payload["masking"]["params"]["s_size"] = 2**50
+    payload["sha256"] = _sha256(payload)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptDesignFile, match="allocate") as info:
+        load_design(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_version_1_file_is_refused(tmp_path):
+    # laid out as version 1 was, with the base64 offsets and no digest
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del payload["sha256"], payload["masking"]["offsets_sha256"]
+    offsets = bundle.masking.offsets.astype("<u2").tobytes()
+    payload["masking"].update(version=1, offsets_dtype="<u2",
+                              offsets=base64.b64encode(offsets).decode("ascii"))
+    payload["version"] = 1
+    payload["sha256"] = _sha256(payload)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptDesignFile, match="unsupported version 1"):
+        load_design(path)
 
 
 def test_build_design_verified_smallk():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -52,6 +53,33 @@ def test_general_m_tracks_n():
     assert derive_params(2**60 + 1, 40).m == 7  # ell = 10
     # w is k-dominated across this whole range, so t1 is unchanged
     assert derive_params(2**14, 10).w == derive_params(2**26, 10).w == 381
+
+
+def test_n_of_2_63_or_more_is_refused():
+    # items are numbered in int64
+    for n in (2**63, 2**63 + 1, 2**64, 2**1100):
+        for regime, k in ((REGIME_GENERAL, 3), (REGIME_SMALLK, 2)):
+            with pytest.raises(InvalidInput, match="2\\^63"):
+                derive_params(n, k, regime=regime)
+    assert derive_params(2**63 - 1, 3).n == 2**63 - 1
+
+
+def test_derivation_past_2_53_is_pinned():
+    # n in [2^53, 2^63), where math.log2 rounds n to a double first: the
+    # digest was recorded with an exact integer log2 (that of n's top 53 bits
+    # plus the shift), and the params must not move
+    rng = np.random.default_rng(53)
+    grid = []
+    for b in range(53, 63):
+        grid += [2**b - 1, 2**b, 2**b + 1, 2**(b + 1) - 1]
+        grid += [int(x) for x in rng.integers(2**b, 2**(b + 1) - 1, size=20, dtype=np.int64)]
+    derived = []
+    for n in sorted(set(n for n in grid if 2**53 <= n < 2**63)):
+        derived += [derive_params(n, k, xi=xi) for k in (2, 5, 10, 20, 40) for xi in (0.0, 0.05)]
+        derived += [derive_params(n, 2, regime=REGIME_SMALLK)]
+    text = json.dumps([[p.to_json(), p.regime, total_test_bound(p)] for p in derived])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8bbbda78fe711014b86609cbdc5d65db11327818701937e324f1853bdaddbe69")
 
 
 def test_general_tiny_n():
