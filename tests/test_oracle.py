@@ -278,6 +278,49 @@ def _reach(payload: dict, where: str) -> dict:
     return payload
 
 
+def test_spliced_hash_matches_the_canonical_json(tmp_path):
+    # _sha256 must equal the hash of json.dumps's canonical text on every
+    # payload, also on strings that look like the offsets text version 1
+    # spliced in
+    payloads = []
+    for kwargs in (dict(n=2**12, k=4, seed=3), dict(n=2**16, k=2, regime=REGIME_SMALLK)):
+        payload = _saved_payload(tmp_path, **kwargs)
+        recorded = payload.pop("sha256")
+        assert _sha256(payload) == recorded
+        payloads.append(payload)
+    for text in ("", "AA==", "AAA=", "AAAA"):  # "=" and "==" padding
+        payloads.append(copy.deepcopy(payloads[0]))
+        payloads[-1]["masking"]["offsets"] = text
+    look_alike = copy.deepcopy(payloads[0])
+    look_alike["masking"]["status"] = '"offsets":""'
+    look_alike["masking"]["params"]['"offsets":""'] = '"offsets":""'
+    look_alike["masking"]["params"]["offsets"] = ""
+    look_alike["offsets"] = "AB=="
+    look_alike["codebook"]["offsets"] = {"offsets": "\"\\\né"}
+    payloads.append(look_alike)
+    for payload in payloads:
+        assert _sha256(payload) == _reference_sha256(payload)
+
+
+@pytest.mark.parametrize(
+    "offsets", ['AA"=', "AA\\=", "AA\n=", "AAé=", "A===", 1234, None, ["AAAA"]],
+    ids=["quote", "backslash", "newline", "non-ascii", "three-pads", "number", "null", "list"],
+)
+@pytest.mark.parametrize("rehash", [False, True])
+def test_offsets_text_must_be_base64(tmp_path, offsets, rehash):
+    # a version-2 file holds no offsets text: with the file's own hash or
+    # one over the spoiled canonical JSON, a masking set carrying one is
+    # refused, whatever its text
+    payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
+    del payload["sha256"]
+    payload["masking"]["offsets"] = offsets
+    payload["sha256"] = _reference_sha256(payload) if rehash else "0" * 64
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptDesignFile, match="unknown keys" if rehash else "hash"):
+        load_design(path)
+
+
 @pytest.mark.parametrize(
     "n,k,xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)],
     ids=["clean-k10", "noisy-k10", "wide-k20"],
