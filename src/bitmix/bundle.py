@@ -87,9 +87,13 @@ def build_design(
     general, the pairwise bound for smallk) and may raise ConstructionFailed;
     verify=False returns the plain random construction with status
     "unverified".  The masking and assignment seeds are both derived from the
-    single input seed.
+    single input seed.  Raises InvalidInput unless seed is an integer and
+    max_attempts is None or an integer >= 1.
     """
     regime = REGIME_GENERAL if regime is None else regime
+    seed = checked_integer("seed", seed)
+    if max_attempts is not None:
+        max_attempts = checked_integer("max_attempts", max_attempts, low=1)
     params = derive_params(n, k, xi=xi, regime=regime)
     mask_seed = derive_seed(seed, 0xDE51)
     assign_seed = derive_seed(seed, 0xA551)

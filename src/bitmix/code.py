@@ -6,8 +6,8 @@ polynomial of degree < m and evaluated at the points 0..w-1.  Minimum distance
 is w - m + 1, so any f <= w - m erasures are correctable, and any (e, f) with
 2e + f <= w - m is correctable with errors.
 
-`Codebook.decode_words` decodes a whole (L, w) matrix of received words in
-one pass of array operations, in two stages:
+`Codebook.decode_words` decodes a whole (L, w) matrix of received words at
+once, in two stages:
   1. candidates: each row's first T disjoint m-tuples of unerased positions
      (T = _TUPLES when noisy, 1 when noiseless) give T messages, by batched
      Lagrange interpolation through the m points of each tuple
@@ -20,19 +20,19 @@ one pass of array operations, in two stages:
      working set holds the re-encodes of _ROUND tuples per row, not T.
      Noiseless rows have one tuple and one round: this is the whole
      noiseless decode.
-  2. errata, for the noisy rows that no tuple fits:
-     a. syndromes of each row, as one GF matrix product with the parity
-        checks;
-     b. Berlekamp-Massey with erasures (Berlekamp 1968; Massey 1969),
-        batched over the rows: each row starts from its erasure locator at
-        its own step f, its erasure count;
-     c. a Chien search over the w points finds the roots of each row's
-        errata locator, and the errors found join the erasures;
+  2. errata, for the noisy rows that no tuple fits, one row at a time:
+     a. the syndromes S_i = sum_j v_j r_j b_j^i, i < w - m, of the row;
+     b. Berlekamp-Massey with erasures (Berlekamp 1968; Massey 1969), from
+        the erasure locator prod_{j erased} (1 + b_j x) at step f, the
+        row's erasure count;
+     c. a Chien search evaluates the errata locator at every b_j^-1, and
+        the errors found join the erasures;
      d. the same interpolation and check, on the first m positions outside
         the errata.
 Point 0 is no locator root, so 2a-2c work on the translated points
 b_j = j ^ w, all nonzero because w < q.  Translation maps the code onto
-itself, and 2d interpolates on the original points.
+itself, and 2d interpolates on the original points.  Few rows reach stage
+2, so it keeps no table on the codebook but the w weights v_j.
 
 Any m symbols of a codeword determine it, and a codeword within 2e + f <=
 w - m of a word is the only one there, because the minimum distance is
@@ -143,23 +143,16 @@ class Codebook:
         return codes
 
     @cached_property
-    def _locator_tables(self):
-        """(checks, powers) on the translated points b_j = j ^ w.
+    def _weights(self) -> np.ndarray:
+        """v_j = 1 / prod_{l != j} (b_j - b_l) on the translated points b_j = j ^ w.
 
-        checks[i, j] = v_j b_j^i for i < w - m, with v_j = 1 / prod_{l != j}
-        (b_j - b_l), is a parity-check matrix of the code; powers[k, j] =
-        b_j^-k for k <= w - m evaluates a locator at every b_j^-1.  Built
-        when a row first reaches the errata stage, which noiseless rows never
-        do.
+        The checks v_j b_j^i, i < w - m, are a parity-check matrix of the code.
+        Built when a row first reaches the errata stage, which noiseless rows
+        never do.
         """
-        field, radius = self.field, self.w - self.m
-        translated = self.points ^ self.w
         diffs = self.points[:, None] ^ self.points  # b_j - b_l = j - l
         np.fill_diagonal(diffs, 1)
-        weights = field.inv(field.prod(diffs, axis=1))
-        checks = field.mul(field.vandermonde(translated, radius).T, weights)
-        powers = field.vandermonde(field.inv(translated), radius + 1).T
-        return checks, powers
+        return self.field.inv(self.field.prod(diffs, axis=1))
 
     def decode_words(self, words, noisy: bool):
         """Decode every row of an (L, w) matrix of received words at once.
@@ -179,11 +172,12 @@ class Codebook:
         the messages through a row's first _TUPLES disjoint m-tuples of
         unerased positions (one tuple when noiseless), in two rounds: the
         first _ROUND tuples of every row, then the rest for the rows that
-        round 1 left.  Noisy rows that no tuple fits go through syndromes,
-        Berlekamp-Massey and a Chien search, then the same interpolation and
-        check.  A codeword that passes the noisy check is the only one within
-        the radius, so the outcome is that of bounded-distance decoding
-        whichever stage or round finds it.
+        round 1 left.  Noisy rows that no tuple fits go, one at a time,
+        through syndromes, Berlekamp-Massey and a Chien search, then the
+        same interpolation and check; this stage caches only the w weights
+        v_j on the codebook.  A codeword that passes the noisy check is the
+        only one within the radius, so the outcome is that of
+        bounded-distance decoding whichever stage or round finds it.
         """
         words = np.asarray(words)  # checked before the cast, so no float is truncated
         integer = words.dtype.kind in "biu" or words.size == 0
@@ -279,48 +273,51 @@ class Codebook:
 
     def _locate_errors(self, received, erased, n_erased) -> np.ndarray:
         """Roots of each row's errata locator, as an (L, w) mask (stages 2a-2c)."""
+        roots = np.zeros_like(erased)
+        for row in range(len(received)):
+            roots[row] = self._errata_roots(received[row], erased[row], int(n_erased[row]))
+        return roots
+
+    def _errata_roots(self, received, erased, f: int) -> np.ndarray:
+        """Stages 2a-2c on one row: received (w,) int64, 0 where the (w,) mask
+        erased is set, f erased symbols.  Returns the (w,) mask of the j whose
+        b_j^-1 is a root of the row's errata locator."""
         field, radius = self.field, self.w - self.m
-        checks, powers = self._locator_tables
+        exp, log, order = field.exp, field.log, field.q - 1
         translated = self.points ^ self.w
-        # Locators have degree <= w - m; B(x) gets one more column to shift into.
-        width = radius + 2
-        # Erasure locators prod_{j erased} (1 + b_j x), one factor per pass.
-        locator = np.zeros((len(received), width), dtype=np.int64)
-        locator[:, 0] = 1
-        erased_first = _first_unset(~erased, int(n_erased.max()))
-        for t in range(int(n_erased.max())):
-            root = np.where(t < n_erased, translated[erased_first[:, t]], 0)
-            locator[:, 1 : t + 2] ^= field.mul(locator[:, : t + 1], root[:, None])
-        # Syndromes S_i sit at column radius + 1 + i, after radius + 1 zeros,
-        # so S_{n-j} for j > n reads 0.
-        syndromes = np.zeros((len(received), 2 * radius + 1), dtype=np.int64)
-        syndromes[:, radius + 1 :] = field.matmul(received, checks.T)
-        # Berlekamp-Massey from each row's erasure locator, at steps n >= f:
-        # `length` is the row's linear complexity, `shifted` is x^s B(x), B
-        # the last locator before a length change over its discrepancy.  A
-        # row whose start step is still ahead keeps B = its erasure locator.
-        length = n_erased.copy()
-        shifted = locator.copy()
-        span = int(length.max()) + 1  # locators have degree <= length
-        last_start = int(n_erased.max())
-        for n in range(int(n_erased.min()), radius):
-            window = syndromes[:, radius + 2 + n - span : radius + 2 + n][:, ::-1]
-            delta = np.bitwise_xor.reduce(field.mul(locator[:, :span], window), axis=1)
-            shifted[:, 1:] = shifted[:, :-1]
-            shifted[:, 0] = 0
-            if n < last_start:
-                idle = n_erased > n
-                delta[idle] = 0
-                shifted[idle] = locator[idle]
-            grow = (delta != 0) & (2 * length <= n + n_erased)
-            previous = locator[grow, :span]
-            length[grow] = n + 1 + n_erased[grow] - length[grow]
-            new_span = int(length.max()) + 1
-            locator[:, :new_span] ^= field.mul(shifted[:, :new_span], delta[:, None])
-            shifted[grow] = 0
-            shifted[grow, :span] = field.div(previous, delta[grow, None])
-            span = new_span
-        return field.matmul(locator[:, :span], powers[:span]) == 0
+        # log b_j^i at [j, i] for i <= w - m.  As in GF2m, a product is exp of
+        # a sum of logs, and the log of 0 sends it to the zero tail of exp.
+        log_powers = np.outer(log[translated], np.arange(radius + 1))
+        log_powers %= order
+        # S_i = sum_j v_j r_j b_j^i for i < w - m; erased symbols are 0.
+        terms = exp[log_powers[:, :radius] + log[field.mul(self._weights, received)][:, None]]
+        log_syndromes = log[np.bitwise_xor.reduce(terms, axis=0)]
+        # The erasure locator prod_{j erased} (1 + b_j x).  Locators have
+        # degree <= length <= w - m.
+        locator = np.zeros(radius + 1, dtype=np.int64)
+        locator[0] = 1
+        for t, root in enumerate(translated[erased]):
+            locator[1 : t + 2] ^= field.mul(locator[: t + 1], root)
+        # Berlekamp-Massey from step f (Berlekamp 1968; Massey 1969), on the
+        # log tables: `length` is the linear complexity, and `previous` is
+        # B(x) over its discrepancy, B the last locator before a length
+        # change, which an update adds shifted by `gap`.  B starts as the
+        # erasure locator.
+        length, previous, gap = f, locator[: f + 1].copy(), 1
+        for n in range(f, radius):
+            window = log_syndromes[n - length : n + 1][::-1]  # S_n, ..., S_{n-length}
+            delta = int(np.bitwise_xor.reduce(exp[log[locator[: length + 1]] + window]))
+            if delta:
+                update, at = exp[log[previous] + log[delta]], gap
+                if 2 * length <= n + f:
+                    previous = exp[log[locator[: length + 1]] + (order - log[delta])]
+                    length, gap = n + 1 + f - length, 0
+                locator[at : at + update.size] ^= update
+            gap += 1
+        # Chien search: the locator vanishes at b_j^-1 where the reversed
+        # locator, b_j^length times it, vanishes at b_j.
+        values = exp[log_powers[:, : length + 1] + log[locator[length::-1]]]
+        return np.bitwise_xor.reduce(values, axis=1) == 0
 
     def decode_erasures(self, rw) -> int:
         """Recover the item index from a word with erasures but no errors.

@@ -7,12 +7,13 @@ numpy arrays and are pure.
 
 The log of 0 is a sentinel that lands every product with a zero factor in an
 all-zero tail of the antilog table, so a product of two elements is one
-gather, exp[log a + log b], with no zero masks.  The array kernels (matmul,
-batched interpolation and solve) are built on that gather.  The decoder
-finds messages with `interpolate`, which is closed-form Lagrange
-interpolation; `solve`, a pivoting Gaussian elimination, is its reference
-in the tests.  `interpolate` gathers from the tables directly, with no call
-to `mul`; `Codebook` re-encodes from a log table it keeps.
+gather, exp[log a + log b], with no zero masks.  The array kernels (batched
+interpolation and solve) are built on that gather.  The decoder finds
+messages with `interpolate`, which is closed-form Lagrange interpolation;
+`solve`, a pivoting Gaussian elimination, is its reference in the tests.
+`interpolate` gathers from the tables directly, with no call to `mul`;
+`Codebook` re-encodes from a log table it keeps, and runs Berlekamp-Massey
+on these tables one row at a time.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ PRIMITIVE_POLYS = {
 
 _FIELD_CACHE: dict[int, "GF2m"] = {}
 
-# Elements in one gathered block of `matmul`: the int64 log sums and the
-# uint16 products of a block take about 2.5 MB together.
-_BLOCK = 1 << 18
-
 
 class GF2m:
     """The field GF(2^ell), 2 <= ell <= 13, with read-only tables `exp` and `log`."""
@@ -59,7 +56,7 @@ class GF2m:
         # exp[0, 2*order) holds the cycle twice, so log a + log b needs no mod;
         # log[0] = 2*order sends every sum with a zero factor into the zero
         # tail exp[2*order, 4*order].  uint16 holds every element (ell <= 13)
-        # and keeps the gathers of `matmul` small; results leave as int64.
+        # and keeps the gathers small; results leave as int64.
         exp = np.zeros(4 * order + 1, dtype=np.uint16)
         log = np.empty(self.q, dtype=np.int64)
         x = 1
@@ -102,24 +99,6 @@ class GF2m:
         powers = np.arange(ncols)
         out = self.exp[self.log[points][:, None] * powers % (self.q - 1)].astype(np.int64)
         return np.where((points[:, None] == 0) & (powers > 0), 0, out)
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product (L, K) @ (K, N) over the field.
-
-        The (L, K, N) products are gathered a block of rows at a time, with
-        about _BLOCK elements per block (never less than one row), so memory
-        does not grow with L.  The log table of `b` is made C-contiguous:
-        callers pass transposed views, and gathering along their strides is
-        several times slower.
-        """
-        log_a = self.log[np.asarray(a, dtype=np.int64)]
-        log_b = np.ascontiguousarray(self.log[np.asarray(b, dtype=np.int64)])
-        out = np.empty((log_a.shape[0], log_b.shape[1]), dtype=np.int64)
-        step = max(1, _BLOCK // max(1, log_b.size))
-        for lo in range(0, log_a.shape[0], step):
-            products = self.exp[log_a[lo : lo + step, :, None] + log_b]
-            out[lo : lo + step] = np.bitwise_xor.reduce(products, axis=1)
-        return out
 
     def interpolate(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Coefficients of the polynomials through (points, values), batched.

@@ -467,6 +467,52 @@ def test_decode_words_tries_later_tuples_only_for_rows_round_one_leaves(monkeypa
     assert fits == [(2, 1)] and len(located) == 1
 
 
+@pytest.mark.parametrize("n, w, ell", [(2**16, 12, 4), (2**14, 30, 5), (2**20, 381, 9)])
+def test_locate_errors_finds_exactly_the_errata_within_the_radius(n, w, ell):
+    # with 2e + f <= w - m the errata locator's roots are the erased and the
+    # wrong symbols and no others, in every row of a batch
+    cb = Codebook(n, w, ell)
+    radius = cb.w - cb.m
+    rng = np.random.default_rng(w)
+    rows = 20
+    received = np.array([cb.encode_index(int(i)) for i in rng.integers(1, cb.n + 1, size=rows)])
+    erased = np.zeros((rows, cb.w), dtype=bool)
+    errata = np.zeros((rows, cb.w), dtype=bool)
+    for r in range(rows):
+        f = int(rng.integers(0, radius + 1))
+        e = int(rng.integers(0, (radius - f) // 2 + 1))
+        hit = rng.choice(cb.w, size=f + e, replace=False)
+        received[r, hit[f:]] ^= rng.integers(1, cb.q, size=e)
+        received[r, hit[:f]] = 0
+        erased[r, hit[:f]] = errata[r, hit] = True
+    roots = cb._locate_errors(received, erased, erased.sum(axis=1))
+    assert np.array_equal(roots | erased, errata)
+
+
+def test_errata_stage_keeps_no_table_on_the_codebook(monkeypatch):
+    # A row that only Berlekamp-Massey decodes leaves at most the w weights
+    # v_j on the codebook: no (w - m) x w table of parity checks or powers,
+    # 2.3 MB at w = 381.
+    cb = Codebook(n=2**20, w=381, ell=9)
+    word = cb.encode_index(777_777)
+    word[np.arange(code._TUPLES) * cb.m + 1] ^= 11  # no candidate tuple is clean
+    located = []
+    locate = Codebook._locate_errors
+
+    def spy_locate(self, *args):
+        located.append(len(args[0]))
+        return locate(self, *args)
+
+    monkeypatch.setattr(Codebook, "_locate_errors", spy_locate)
+    before = set(vars(cb))
+    assert cb.decode_words(word[None], noisy=True) == ([777_777], [None])
+    assert located == [1]
+    for name, value in vars(cb).items():
+        if name not in before:
+            for array in value if isinstance(value, tuple) else (value,):
+                assert np.size(array) <= cb.w, name
+
+
 @pytest.mark.parametrize("n, w, ell", [(2**20, 381, 9), (2**16, 259, 9), (2**12, 30, 5)])
 def test_decode_words_in_two_rounds_matches_one_round(monkeypatch, n, w, ell):
     # Trying every tuple in one round, as the decoder did before the rounds,

@@ -458,3 +458,15 @@ def test_build_design_unverified_general():
     b = build_design(2**16, 5, seed=0, verify=False)
     assert b.masking.status == "unverified"
     assert b.params.w == 259
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": 1.7}, {"seed": "1"}, {"seed": True},
+    {"max_attempts": 2.5}, {"max_attempts": True}, {"max_attempts": 0},
+], ids=["seed=1.7", "seed='1'", "seed=True", "max_attempts=2.5", "max_attempts=True",
+        "max_attempts=0"])
+def test_build_design_refuses_a_seed_or_max_attempts_that_is_no_integer(kwargs):
+    # seed 1.7 and "1" built seed 1's design, max_attempts 2.5 raised a raw
+    # TypeError, and max_attempts True counted as 1 attempt
+    with pytest.raises(InvalidInput):
+        build_design(2**12, 2, regime=REGIME_SMALLK, **kwargs)
