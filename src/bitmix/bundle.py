@@ -8,9 +8,12 @@ a sha256 of its offsets table (offsets_sha256) and a sha256 over the
 canonical payload.  A load rebuilds the set from its seed and checks the
 rebuilt table against offsets_sha256, which also catches a numpy whose
 Generator draws another stream.  save_design writes only sets whose offsets
-are their seed's.  Any edit, a key the format does not hold, or a count or
-seed that is not an integer in range surfaces as CorruptDesignFile, its
-message led by the file's path.
+are their seed's.  A bundle records the seed, params and offsets_sha256 of
+its set as build_design drew it or load_design rebuilt it, so saving a set
+that still matches that record costs the digest that the file holds
+anyway; any other set is redrawn from its seed and compared.  Any edit, a
+key the format does not hold, or a count or seed that is not an integer in
+range surfaces as CorruptDesignFile, its message led by the file's path.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +57,10 @@ _CODEBOOK_KEYS = frozenset({"w", "ell", "m"})
 class DesignBundle:
     masking: MaskingSet
     assignment_seed: int
+    # (masking seed, params, offsets_sha256) of the set as build_design drew
+    # it or load_design rebuilt it: save_design need not redraw a set that
+    # still matches it.
+    _drawn: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.params
@@ -103,7 +110,9 @@ def build_design(
         mset = build_smallk_set(params, mask_seed, max_attempts)
     else:
         mset = build_lcs(params, mask_seed, max_attempts)
-    return DesignBundle(mset, assign_seed)
+    bundle = DesignBundle(mset, assign_seed)
+    bundle._drawn = (mset.seed, mset.params, _offsets_sha256(mset.offsets))
+    return bundle
 
 
 def _sha256(payload: dict) -> str:
@@ -135,9 +144,14 @@ def _check_keys(obj: dict, allowed: frozenset, what: str) -> None:
         raise CorruptDesignFile(f"unknown keys {unknown} in the {what}")
 
 
-def _canonical_payload(mset: MaskingSet) -> dict:
+def _canonical_payload(mset: MaskingSet, drawn: tuple | None) -> dict:
     seed = _seed("masking seed", mset.seed)
-    if not np.array_equal(mset.offsets, construct_candidate(mset.params, seed).offsets):
+    digest = _offsets_sha256(mset.offsets)
+    # A set that matches the record of its draw is its seed's; any other is
+    # redrawn and compared.
+    if drawn != (seed, mset.params, digest) and not np.array_equal(
+        mset.offsets, construct_candidate(mset.params, seed).offsets
+    ):
         raise InvalidInput(
             f"the masking offsets are not those construct_candidate draws from seed {seed}, "
             "so a design file, which holds only the seed, cannot keep them"
@@ -149,7 +163,7 @@ def _canonical_payload(mset: MaskingSet) -> dict:
         "params": mset.params.to_json(),
         "seed": seed,
         "status": mset.status,
-        "offsets_sha256": _offsets_sha256(mset.offsets),
+        "offsets_sha256": digest,
     }
 
 
@@ -170,7 +184,11 @@ def _masking_set_from_payload(payload) -> MaskingSet:
 
 
 def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
-    """Write bundle as a design file; InvalidInput when its offsets are not its seed's."""
+    """Write bundle as a design file; InvalidInput when its offsets are not its seed's.
+
+    A set that matches the bundle's record of its draw is written without a
+    redraw; any other set is redrawn from its seed and compared first.
+    """
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
@@ -180,7 +198,7 @@ def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
             "ell": bundle.codebook.ell,
             "m": bundle.codebook.m,
         },
-        "masking": _canonical_payload(bundle.masking),
+        "masking": _canonical_payload(bundle.masking, bundle._drawn),
     }
     payload["sha256"] = _sha256(payload)
     with open(path, "wb") as fh:
@@ -216,4 +234,6 @@ def _bundle_from_payload(payload) -> DesignBundle:
     bundle = DesignBundle(mset, _seed("assignment_seed", payload.get("assignment_seed")))
     if m != bundle.codebook.m:
         raise CorruptDesignFile("codebook message length disagrees with n")
+    # The rebuilt table was checked against this digest.
+    bundle._drawn = (mset.seed, mset.params, payload["masking"]["offsets_sha256"])
     return bundle

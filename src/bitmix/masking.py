@@ -22,14 +22,17 @@ set-quality notions are statistics of pairwise collision counts:
   sum at most (|S|-1) * 2w/(c1*k).  The constants are asymptotic: at desk-size
   parameters random candidates essentially never satisfy the max-deviation
   bound, which is why construction also offers an unverified path.  The
-  pair counts come from one private kernel (`_collision_blocks`), in blocks
-  of 16 strings against the strings after them, counting only the pairs
-  that share a bucket.  Each block completes the statistics of its own
-  strings, so the certificate returns at the block that holds the first
-  violation.  Read to the end, the blocks cost about |S|^2 w / (2 c1*k)
-  increments for random offsets; memory is O(16 |S| + |S| w), never |S|^2,
-  and the |S| w part is two arrays of string indices, uint16 up to 2^16
-  strings.
+  pair counts come from one private kernel (`_collision_blocks`).  Its
+  first block is string 0's row, from one comparison of the whole table;
+  the blocks after it hold 16 strings each against the strings after them,
+  counting only the pairs that share a bucket of a layout that is built
+  only when a caller reads past string 0.  Each block completes the
+  statistics of its own strings, so the certificate returns at the block
+  that holds the first violation.  An i.i.d. set at desk scale fails at
+  string 0, which costs |S| w compares and an |S| w bool table.  Read to
+  the end, the blocks cost about |S|^2 w / (2 c1*k) increments for random
+  offsets; memory is O(16 |S| + |S| w), never |S|^2, and the layout's
+  |S| w part is two arrays of string indices, uint16 up to 2^16 strings.
 
 * The very-sparse variant (`build_smallk_set`): every pair collides at most
   w/(2k) times, checked over the same blocks up to the first pair above.
@@ -105,7 +108,8 @@ class MaskingSet:
         segment_len = self.params.segment_len
         table = checked_array("offsets", self.offsets, 2, segment_len,
                               np.min_scalar_type(segment_len - 1))
-        # A table read from a file's bytes is read-only; the set keeps a writable one.
+        # A read-only table (a caller's, or a view of one) is copied, so that
+        # the set's own table is writable.
         self.offsets = table if table.flags.writeable else table.copy()
         expect = (self.params.s_size, self.params.w)
         if self.offsets.shape != expect:
@@ -133,7 +137,12 @@ class MaskingSet:
 
         The counts come in the narrowest unsigned type that holds len(strings),
         so that scores() of them gathers 1 byte per position up to 255 strings.
+        An index outside [0, |S|) raises IndexOutOfRange.
         """
+        return self._usage(_validate_chosen(self, strings))
+
+    def _usage(self, strings: np.ndarray) -> np.ndarray:
+        # usage() of string indices that _validate_chosen has checked.
         counts = np.bincount(self.flat_positions[strings].ravel(), minlength=self.params.t1)
         return counts.astype(np.min_scalar_type(len(strings)))
 
@@ -206,35 +215,67 @@ def _collision_blocks(offsets):
     """Yield (lo, block) with block[r, j] the collisions of strings lo+r and lo+j.
 
     offsets is a non-empty (|S|, w) integer array of non-negative
-    per-segment offsets.  The blocks come in order, _PAIR_ROWS rows each,
-    and hold the strict upper triangle only: block[r, j] is 0 for j <= r,
-    and the columns of strings before lo are left out.  Two strings collide
-    at segment j only when they share the bucket (j, offset), so only those
-    pairs are counted: a stable argsort of each segment's offsets lists each
-    bucket's strings in ascending order, every (string, segment) pairs with
-    the strings listed after it in its bucket, and one bincount per block
-    counts the pairs.  For uniform offsets over c1*k values that is about
-    |S|^2 w / (2 c1*k) increments in all.  A caller that stops early does
-    only the work of the blocks it read.  The only |S| w arrays are the
-    bucket lists and each string's rank in its segment's list, both in the
-    narrowest unsigned type that holds |S| - 1 (2 |S| w bytes each up to
-    2^16 strings); they are sorted and placed _LAYOUT entries at a time,
-    which bounds the scratch of building them.  Every sum with an offset or
-    a rank has an idx operand, so none wraps in a narrow type.  A block
-    holds _PAIR_ROWS * (|S| - lo) int64 counts and lists about
-    _PAIR_ROWS |S| w / (c1*k) pairs, so with c1*k >= _PAIR_ROWS a full pass
-    needs O(_PAIR_ROWS |S| + |S| w) memory.
+    per-segment offsets.  The blocks come in order and hold the strict upper
+    triangle only: block[r, j] is 0 for j <= r, and the columns of strings
+    before lo are left out.  The first block is string 0's row alone,
+    counted with one comparison of the whole table: |S| w compares and an
+    |S| w bool table, and no bucket layout.  Only a caller that reads past
+    it builds the layout (_bucket_layout), and then the blocks from string 1
+    on come _PAIR_ROWS rows each.  Two strings collide at segment j only
+    when they share the bucket (j, offset), so only those pairs are counted:
+    every (string, segment) pairs with the strings listed after it in its
+    bucket, and one bincount per block counts the pairs.  For uniform
+    offsets over c1*k values that is about |S|^2 w / (2 c1*k) increments in
+    all.  A caller that stops early does only the work of the blocks it
+    read.  Every sum with an offset or a rank has an idx operand, so none
+    wraps in a narrow type.  A block holds _PAIR_ROWS * (|S| - lo) int64
+    counts and lists about _PAIR_ROWS |S| w / (c1*k) pairs, so with
+    c1*k >= _PAIR_ROWS a full pass needs O(_PAIR_ROWS |S| + |S| w) memory.
     """
     s, w = offsets.shape
+    # Counts are at most w, so they sum in its narrowest type.
+    row = (offsets == offsets[0]).sum(axis=1, dtype=np.min_scalar_type(w)).astype(np.int64)
+    row[0] = 0
+    yield 0, row[None]
+    if s == 1:
+        return
     span = int(offsets.max()) + 1
     # int32 indices when every position, bucket key, pair code and block pair
     # count fits.
     idx = np.int32 if max(s * w * _PAIR_ROWS, w * span) < 2**31 else np.int64
-    # members[j*|S| + rank]: segment j's strings, bucket by bucket, ascending;
-    # rank[j, i]: where string i stands among segment j's; ends: the strings
-    # per bucket, then their running sum, with bucket (j, offset) keyed
-    # j*span + offset.  A string index or rank is below |S|, so members and
-    # rank take its narrowest type.
+    members, rank, ends = _bucket_layout(offsets, span, idx)
+    buckets = np.arange(0, w * span, span, dtype=idx)
+    starts = np.arange(0, w * s, s, dtype=idx)[:, None]
+    for lo in range(1, s, _PAIR_ROWS):
+        hi, width = min(s, lo + _PAIR_ROWS), s - lo
+        # Where each (string, segment) stands in members.
+        at_row = (rank[:, lo:hi] + starts).T.ravel()
+        # Entries listed after each of these in its bucket.
+        after = ends[(offsets[lo:hi] + buckets).ravel()] - at_row - 1
+        first = np.cumsum(after, dtype=idx) - after
+        at = np.arange(first[-1] + after[-1], dtype=idx)
+        at += np.repeat(at_row + 1 - first, after)
+        # Row r's codes start at r * width - lo, so string lo+j lands at column j.
+        rows = np.arange(-lo, (hi - lo) * width - lo, width, dtype=idx)
+        codes = np.repeat(rows.repeat(w), after)
+        codes += members[at]
+        del at  # before bincount makes its intp copy of codes
+        yield lo, np.bincount(codes, minlength=(hi - lo) * width).reshape(hi - lo, width)
+
+
+def _bucket_layout(offsets, span, idx):
+    """(members, rank, ends): every segment's strings, listed bucket by bucket.
+
+    members[j*|S| + r] is the r-th string of segment j's list, which holds
+    the strings of bucket (j, 0), then of (j, 1), and so on, each bucket in
+    ascending order (a stable argsort of the segment's offsets); rank[j, i]
+    is where string i stands in segment j's list; ends[j*span + o] is the
+    end in members of bucket (j, o), in idx.  A string index or rank is
+    below |S|, so members and rank take its narrowest unsigned type (2 |S| w
+    bytes each up to 2^16 strings).  They are sorted and placed _LAYOUT
+    entries at a time, which bounds the scratch of building them.
+    """
+    s, w = offsets.shape
     members = np.empty(w * s, dtype=np.min_scalar_type(s - 1))
     rank = np.empty(w * s, dtype=members.dtype)
     ends = np.empty(w * span, dtype=idx)
@@ -250,25 +291,8 @@ def _collision_blocks(offsets):
         members[j0 * s:j1 * s] = order.ravel()
         order += np.arange(j0 * s, j1 * s, s)[:, None]
         rank[order.ravel()] = ranks[:(j1 - j0) * s]
-    rank = rank.reshape(w, s)
     np.cumsum(ends, out=ends)
-    buckets = np.arange(0, w * span, span, dtype=idx)
-    starts = np.arange(0, w * s, s, dtype=idx)[:, None]
-    for lo in range(0, s, _PAIR_ROWS):
-        hi, width = min(s, lo + _PAIR_ROWS), s - lo
-        # Where each (string, segment) stands in members.
-        at_row = (rank[:, lo:hi] + starts).T.ravel()
-        # Entries listed after each of these in its bucket.
-        after = ends[(offsets[lo:hi] + buckets).ravel()] - at_row - 1
-        first = np.cumsum(after, dtype=idx) - after
-        at = np.arange(first[-1] + after[-1], dtype=idx)
-        at += np.repeat(at_row + 1 - first, after)
-        # Row r's codes start at r * width - lo, so string lo+j lands at column j.
-        rows = np.arange(-lo, (hi - lo) * width - lo, width, dtype=idx)
-        codes = np.repeat(rows.repeat(w), after)
-        codes += members[at]
-        del at  # before bincount makes its intp copy of codes
-        yield lo, np.bincount(codes, minlength=(hi - lo) * width).reshape(hi - lo, width)
+    return members, rank.reshape(w, s), ends
 
 
 def _string_stats(offsets):
@@ -328,10 +352,13 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
     upgraded to "promising".  Sets built with c1 != 4 use the generalized
     targets and are flagged as such.  The strings are checked in order as
     each row block of the collision counts completes them, and the check
-    returns at the first violation, so a set that fails at string i costs
-    the blocks up to i's: about (i + _PAIR_ROWS) |S| w / (c1*k) pair
-    increments.  A passing set costs about |S|^2 w / (2 c1*k).  Memory is
-    O(_PAIR_ROWS |S| + |S| w) either way.
+    returns at the first violation.  A set that fails at string 0, as an
+    i.i.d. set at desk scale does, costs one comparison of its table: |S| w
+    compares and an |S| w bool table, with no bucket layout.  One that
+    fails at string i > 0 also builds the layout and reads the blocks up to
+    i's: about (i + _PAIR_ROWS) |S| w / (c1*k) pair increments.  A passing
+    set costs about |S|^2 w / (2 c1*k), plus the |S| w compares of string 0.
+    Memory is O(_PAIR_ROWS |S| + |S| w) either way.
     """
     params = mset.params
     s_size, w = params.s_size, params.w
@@ -372,8 +399,10 @@ def build_lcs(params: SchemeParams, seed: int, max_attempts: int | None = None) 
 
     Raises ConstructionFailed when the budget runs out — which, at desk-scale
     parameters, is the expected outcome: the certificate's constants only
-    become satisfiable at very large k.  Callers that just need a design (not
-    a certificate) should use construct_candidate directly.
+    become satisfiable at very large k.  There an i.i.d. candidate fails at
+    string 0, so each attempt costs its draw and one comparison of its
+    table.  Callers that just need a design (not a certificate) should use
+    construct_candidate directly.
     """
     max_attempts = 16 if max_attempts is None else max_attempts
     last = None
@@ -445,7 +474,7 @@ def check_lcs_conditions_all(mset: MaskingSet, chosen) -> dict:
     w = mset.params.w
     if chosen.size == 0:
         return {"cond1": True, "cond2_all": True}
-    totals = mset.scores(mset.usage(chosen))
+    totals = mset.scores(mset._usage(chosen))
     outside = np.ones(len(mset), dtype=bool)
     outside[chosen] = False
     cond1 = bool((2 * totals[outside] <= w).all())

@@ -249,11 +249,12 @@ def test_verify_passes_on_exact_set():
 
 def _stream_stats(mset):
     # the certificate's per-string numerators, read from its stream to the
-    # end: one block of _PAIR_ROWS strings after another, in order
+    # end, in order: string 0 alone, then one block of _PAIR_ROWS strings
+    # after another
     sums, max_dev_num, sq_dev_num = [], [], []
     for lo, v, dev, sq in _string_stats(mset.offsets):
         assert lo == len(sums)
-        assert len(v) == len(dev) == len(sq) == min(_PAIR_ROWS, len(mset) - lo)
+        assert len(v) == len(dev) == len(sq) == (min(_PAIR_ROWS, len(mset) - lo) if lo else 1)
         assert all(type(x) is int for x in sq)
         sums += v.tolist()
         max_dev_num += dev.tolist()
@@ -378,9 +379,9 @@ def _certificate_cases():
     yield exact
     yield from _boundary_sets()
     # more than one row block: a passing set, and sets whose first violation
-    # is at either end of a block
+    # is at either end of a block (string 0 alone, then blocks from string 1)
     yield _orthogonal_set()
-    for t in (0, _PAIR_ROWS - 1, _PAIR_ROWS, _LONG - 1):
+    for t in (0, 1, _PAIR_ROWS - 1, _PAIR_ROWS, _PAIR_ROWS + 1, _LONG - 1):
         yield _max_dev_at(t)
         yield _duplicate_at(min(t, _LONG - 2))
     yield MaskingSet(np.tile(exact.offsets, (1, 4)), _params(n=16, k=1, w=160, ell=8, s_size=3), 0)
@@ -455,57 +456,83 @@ def test_collision_blocks_match_the_dense_reference_at_the_type_boundaries(s_siz
 
 
 def test_certificate_reads_only_up_to_the_violating_block(monkeypatch):
-    # the certificate and the small-k check stop at the row block holding
-    # the first violation, or the first pair above w/(2k); a passing set
-    # reads every block
-    blocks = masking._collision_blocks
-    drawn = []
+    # the certificate and the small-k check stop at the block holding the
+    # first violation, or the first pair above w/(2k): string 0's row alone,
+    # then blocks of _PAIR_ROWS strings from string 1 on.  A passing set
+    # reads every block; only a check that reads past string 0 builds the
+    # bucket layout
+    blocks, layout = masking._collision_blocks, masking._bucket_layout
+    drawn, built = [], []
 
     def counted(offsets):
-        drawn.append(0)
-        for block in blocks(offsets):
-            drawn[-1] += 1
-            yield block
+        drawn.append([])
+        for lo, block in blocks(offsets):
+            drawn[-1].append(len(block))
+            yield lo, block
+
+    def counted_layout(offsets, *args):
+        built.append(len(offsets))
+        return layout(offsets, *args)
 
     monkeypatch.setattr(masking, "_collision_blocks", counted)
+    monkeypatch.setattr(masking, "_bucket_layout", counted_layout)
     passing = _orthogonal_set()
     assert verify_promising(passing).passed
     assert passing.status == STATUS_PROMISING
     assert smallk_pairs_ok(passing)
-    assert drawn == [3, 3]
-    for t in (0, _PAIR_ROWS - 1, _PAIR_ROWS, _LONG - 1):
+    assert drawn == [[1, _PAIR_ROWS, _PAIR_ROWS, 2]] * 2
+    assert built == [_LONG] * 2
+    # blocks read for a first violation at string t: each end of each block
+    reads = {0: 1, 1: 2, _PAIR_ROWS - 1: 2, _PAIR_ROWS: 2, _PAIR_ROWS + 1: 3,
+             2 * _PAIR_ROWS: 3, 2 * _PAIR_ROWS + 1: 4, _LONG - 1: 4}
+    for t, count in reads.items():
         drawn.clear()
+        built.clear()
         mset = _max_dev_at(t)
         report = verify_promising(mset)
         assert not report.passed and report.first_violation[:2] == (t, "max_dev")
         assert mset.status == STATUS_UNVERIFIED
-        dup = _duplicate_at(min(t, _LONG - 2))
+        dup_at = min(t, _LONG - 2)
+        dup = _duplicate_at(dup_at)
         assert not smallk_pairs_ok(dup)
-        assert drawn == [t // _PAIR_ROWS + 1, min(t, _LONG - 2) // _PAIR_ROWS + 1]
-    # a derived candidate fails at string 0, within the first block
+        assert [len(d) for d in drawn] == [count, reads[dup_at]]
+        assert built == [_LONG] * ((t > 0) + (dup_at > 0))
+    # a derived candidate fails at string 0: one one-row block, no layout
     drawn.clear()
+    built.clear()
     report = verify_promising(construct_candidate(derive_params(2**20, 20), seed=0))
     assert report.first_violation[0] == 0
-    assert drawn == [1]
+    assert drawn == [[1]]
+    assert built == []
 
 
 def test_certificate_holds_its_bucket_lists_and_little_more():
     # an i.i.d. (2^20, 20) design, as the benchmark builds, fails at string
-    # 0.  The bucket lists and each string's rank in them, uint16, take
-    # 2 * 2 |S| w bytes; the scratch of building them is bounded by _LAYOUT,
-    # and the first block holds a few int32 lists of _PAIR_ROWS |S| w / (c1 k)
-    # pairs.  Measured: 1.84 * 4 |S| w; int32 lists and places peaked at 2.8,
-    # and a layout built whole at 4.1.
+    # 0, whose row holds one |S| w bool table and no bucket layout.
+    # Measured: 1.08 * |S| w.  A check that reads past string 0 holds the
+    # bucket lists and each string's rank in them, uint16, 2 * 2 |S| w
+    # bytes; the scratch of building them is bounded by _LAYOUT, and a block
+    # holds a few int32 lists of _PAIR_ROWS |S| w / (c1 k) pairs.  Measured
+    # over string 0 and the next block: 1.72 * 4 |S| w; int32 lists and
+    # places peaked at 2.8, and a layout built whole at 4.1.
     mset = build_design(2**20, 20, seed=1, verify=False).masking
     p = mset.params
     verify_promising(mset)
-    tracemalloc.start()
-    try:
-        report = verify_promising(mset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced_peak(read):
+        tracemalloc.start()
+        try:
+            got = read()
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    report, peak = traced_peak(lambda: verify_promising(mset))
     assert report.first_violation[0] == 0
+    assert peak <= 1.25 * p.s_size * p.w, peak
+    blocks = masking._collision_blocks(mset.offsets)
+    (lo, _), peak = traced_peak(lambda: (next(blocks), next(blocks))[1])
+    assert lo == 1
     assert peak <= 2.0 * 4 * p.s_size * p.w, peak
 
 
@@ -639,6 +666,27 @@ def test_conditions_empty_and_errors():
         check_lcs_conditions_all(mset, [[0], [1]])
     with pytest.raises(InvalidInput):
         check_lcs_conditions_all(mset, [0.7, 1.2])
+
+
+def test_usage_refuses_an_index_outside_the_set(monkeypatch):
+    # -1 would wrap to the last string, and 10**6 raise numpy's IndexError
+    mset = _micro_set()
+    for chosen in ([-1], [len(mset)], [10**6]):
+        with pytest.raises(IndexOutOfRange):
+            mset.usage(chosen)
+    with pytest.raises(InvalidInput):
+        mset.usage([0.7])
+    # the conditions check their input once, and hand it to usage checked
+    checks = []
+    validate = masking._validate_chosen
+
+    def counted(*args):
+        checks.append(args[1])
+        return validate(*args)
+
+    monkeypatch.setattr(masking, "_validate_chosen", counted)
+    check_lcs_conditions_all(mset, [0, 1])
+    assert len(checks) == 1
 
 
 def _conditions_by_scalar_collisions(mset, chosen):

@@ -9,7 +9,7 @@ import pytest
 from bitmix.bundle import DesignBundle, _sha256, build_design, load_design, save_design
 from bitmix.errors import CorruptDesignFile, InvalidInput
 from bitmix.masking import MaskingSet, construct_candidate
-from bitmix.params import REGIME_SMALLK
+from bitmix.params import REGIME_SMALLK, derive_params
 from bitmix.scheme import decode, simulate_outcomes
 
 from oracle import TooLarge, dense_outcomes, exhaustive_decode, materialize
@@ -389,6 +389,64 @@ def test_save_refuses_a_set_that_is_not_its_seeds(tmp_path):
         with pytest.raises(InvalidInput, match="seed"):
             save_design(DesignBundle(other, bundle.assignment_seed), path)
         assert not path.exists()
+
+
+def _counting_draws(monkeypatch):
+    # counts construct_candidate calls, under the names that bundle.py and
+    # masking.py call it by
+    calls = []
+
+    def counted(params, seed):
+        calls.append(seed)
+        return construct_candidate(params, seed)
+
+    monkeypatch.setattr("bitmix.bundle.construct_candidate", counted)
+    monkeypatch.setattr("bitmix.masking.construct_candidate", counted)
+    return calls
+
+
+def test_a_design_is_drawn_once_to_build_and_save_and_once_to_load(tmp_path, monkeypatch):
+    calls = _counting_draws(monkeypatch)
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    path = tmp_path / "design.json"
+    save_design(bundle, path)
+    assert calls == [bundle.masking.seed]
+    calls.clear()
+    back = load_design(path)
+    assert calls == [bundle.masking.seed]
+    # a loaded design was checked against its file's digest when it was
+    # rebuilt, so saving it again draws nothing and writes the same bytes
+    again = tmp_path / "again.json"
+    save_design(back, again)
+    assert calls == [bundle.masking.seed]
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _edit_in_place(mset):
+    mset.offsets[0, 0] = (mset.offsets[0, 0] + 1) % mset.params.segment_len
+
+
+def _reseed(mset):
+    mset.seed += 1
+
+
+def _reparam(mset):
+    mset.params = derive_params(2**12, 5)
+
+
+@pytest.mark.parametrize("change", [_edit_in_place, _reseed, _reparam],
+                         ids=["edited-in-place", "seed-reassigned", "params-reassigned"])
+def test_save_refuses_a_drawn_set_changed_since_its_draw(tmp_path, monkeypatch, change):
+    # the record of the draw no longer matches, so the set is redrawn from
+    # its seed and compared, and it is not that draw
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    change(bundle.masking)
+    calls = _counting_draws(monkeypatch)
+    path = tmp_path / "design.json"
+    with pytest.raises(InvalidInput, match="seed"):
+        save_design(bundle, path)
+    assert not path.exists()
+    assert calls == [bundle.masking.seed]
 
 
 def test_load_refuses_a_rehashed_seed_edit(tmp_path):
