@@ -72,7 +72,12 @@ class DesignBundle:
 
     @property
     def codebook(self) -> Codebook:
-        return self._codebook
+        """The codebook of the set's params, rebuilt when `masking` is replaced
+        by a set of other params."""
+        p, cb = self.params, self._codebook
+        if (cb.n, cb.w, cb.ell) != (p.n, p.w, p.ell):
+            cb = self._codebook = Codebook(p.n, p.w, p.ell)
+        return cb
 
     @property
     def assignment(self) -> Assignment:

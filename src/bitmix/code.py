@@ -32,7 +32,10 @@ once, in two stages:
 Point 0 is no locator root, so 2a-2c work on the translated points
 b_j = j ^ w, all nonzero because w < q.  Translation maps the code onto
 itself, and 2d interpolates on the original points.  Few rows reach stage
-2, so it keeps no table on the codebook but the w weights v_j.
+2, so it keeps no table on the codebook but the w weights v_j, and it
+holds the powers b_j^i of 2a and 2c, and the point differences of the
+weights, _ERRATA entries at a time: about 0.6 MB for a row at w = 381,
+not a (w, w - m + 1) table.
 
 Any m symbols of a codeword determine it, and a codeword within 2e + f <=
 w - m of a word is the only one there, because the minimum distance is
@@ -86,6 +89,11 @@ _ROUND = 8
 # Re-encoded symbols held at once by `Codebook._fit`: 2 MB of uint16 codes, and
 # 8 MB of int64 log sums for the one degree `Codebook._encode` gathers at a time.
 _BLOCK = 1 << 20
+
+# Entries of the (w, w - m) tables of powers b_j^i that the errata stage holds
+# at a time, and of the (w, w) point differences that `Codebook._weights`
+# does: 256 KB as int64 log sums, 64 KB as uint16 products.
+_ERRATA = 1 << 15
 
 
 def _first_unset(mask, count: int) -> np.ndarray:
@@ -148,11 +156,18 @@ class Codebook:
 
         The checks v_j b_j^i, i < w - m, are a parity-check matrix of the code.
         Built when a row first reaches the errata stage, which noiseless rows
-        never do.
+        never do, from the logs of the differences b_j - b_l = j ^ l, a block
+        of _ERRATA of them at a time.
         """
-        diffs = self.points[:, None] ^ self.points  # b_j - b_l = j - l
-        np.fill_diagonal(diffs, 1)
-        return self.field.inv(self.field.prod(diffs, axis=1))
+        log, order = self.field.log, self.field.q - 1
+        points = self.points.astype(np.min_scalar_type(self.w))
+        rows = max(1, _ERRATA // self.w)
+        log_prod = np.concatenate([
+            log[np.bitwise_xor.outer(points[lo : lo + rows], points)].sum(axis=1)
+            for lo in range(0, self.w, rows)
+        ])
+        # The l = j term is log 0 = 2(q - 1), which the mod drops.
+        return self.field.exp[order - log_prod % order].astype(np.int64)
 
     def decode_words(self, words, noisy: bool):
         """Decode every row of an (L, w) matrix of received words at once.
@@ -285,13 +300,18 @@ class Codebook:
         field, radius = self.field, self.w - self.m
         exp, log, order = field.exp, field.log, field.q - 1
         translated = self.points ^ self.w
-        # log b_j^i at [j, i] for i <= w - m.  As in GF2m, a product is exp of
-        # a sum of logs, and the log of 0 sends it to the zero tail of exp.
-        log_powers = np.outer(log[translated], np.arange(radius + 1))
-        log_powers %= order
-        # S_i = sum_j v_j r_j b_j^i for i < w - m; erased symbols are 0.
-        terms = exp[log_powers[:, :radius] + log[field.mul(self._weights, received)][:, None]]
-        log_syndromes = log[np.bitwise_xor.reduce(terms, axis=0)]
+        log_points = log[translated].astype(np.int32)
+        step = max(1, _ERRATA // self.w)
+        # S_i = sum_j v_j r_j b_j^i for i < w - m, _ERRATA terms at a time;
+        # erased symbols are 0.  As in GF2m, a product is exp of a sum of
+        # logs, and the log of 0 sends it to the zero tail of exp.
+        log_terms = log[field.mul(self._weights, received)][:, None]
+        syndromes = np.empty(radius, dtype=exp.dtype)
+        for lo in range(0, radius, step):
+            hi = min(radius, lo + step)
+            terms = exp.take(self._power_logs(log_points, lo, hi) + log_terms)
+            syndromes[lo:hi] = np.bitwise_xor.reduce(terms, axis=0)
+        log_syndromes = log[syndromes]
         # The erasure locator prod_{j erased} (1 + b_j x).  Locators have
         # degree <= length <= w - m.
         locator = np.zeros(radius + 1, dtype=np.int64)
@@ -316,8 +336,20 @@ class Codebook:
             gap += 1
         # Chien search: the locator vanishes at b_j^-1 where the reversed
         # locator, b_j^length times it, vanishes at b_j.
-        values = exp[log_powers[:, : length + 1] + log[locator[length::-1]]]
-        return np.bitwise_xor.reduce(values, axis=1) == 0
+        log_reversed = log[locator[length::-1]]
+        values = np.zeros(self.w, dtype=exp.dtype)
+        for lo in range(0, length + 1, step):
+            hi = min(length + 1, lo + step)
+            terms = exp.take(self._power_logs(log_points, lo, hi) + log_reversed[lo:hi])
+            values ^= np.bitwise_xor.reduce(terms, axis=1)
+        return values == 0
+
+    def _power_logs(self, log_points, lo: int, hi: int) -> np.ndarray:
+        """log b_j^i at [j, i - lo] for lo <= i < hi, from the (w,) int32 logs of
+        the b_j.  int32 holds every product: logs and exponents are below 2^13."""
+        log_powers = np.multiply.outer(log_points, np.arange(lo, hi, dtype=np.int32))
+        log_powers %= self.field.q - 1
+        return log_powers
 
     def decode_erasures(self, rw) -> int:
         """Recover the item index from a word with erasures but no errors.

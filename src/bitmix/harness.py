@@ -158,7 +158,9 @@ def _sample_distinct(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 def classify_failure(success, defectives, string_idx, string_list) -> str:
     if success:
         return "none"
-    if np.unique(string_idx).size < len(defectives):
+    # A sort, not np.unique, which imports numpy.ma on its first call.
+    ordered = np.sort(string_idx)
+    if (ordered[1:] == ordered[:-1]).any():
         return "duplicate-assignment"
     listed = set(int(s) for s in string_list)
     wanted = set(int(s) for s in string_idx)

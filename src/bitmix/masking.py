@@ -95,7 +95,15 @@ _LAYOUT = 1 << 16
 
 @dataclass
 class MaskingSet:
-    """|S| masking strings plus the params and provenance they were built for."""
+    """|S| masking strings plus the params and provenance they were built for.
+
+    The set keeps a caller's writable offsets table as it is, without a
+    copy, and may be edited in place until its positions (`flat_positions`)
+    are built: they are cached, and every check and decode reads them.  From
+    then the table is read-only, so an in-place edit of `offsets` (the
+    caller's array, when the set kept it) raises ValueError instead of
+    leaving the positions to answer for the old table.
+    """
 
     offsets: np.ndarray  # (s_size, w) per-segment offsets
     params: SchemeParams
@@ -127,9 +135,11 @@ class MaskingSet:
         offsets' type is never wider, so their sum with the segment starts
         is taken in this type and cannot wrap.  Set-up never reads it; the
         harness builds it before its trial threads start, so none holds it.
+        Building it makes `offsets` read-only (see the class docstring).
         """
         p = self.params
         seg = (np.arange(p.w) * p.segment_len).astype(np.min_scalar_type(p.t1 - 1))
+        self.offsets.flags.writeable = False
         return self.offsets + seg
 
     def usage(self, strings) -> np.ndarray:

@@ -21,6 +21,11 @@ outcome, where almost every string drops out after a few segments
 one re-encode, m gathers a symbol, per m-tuple), plus O(|L'| w^2) for the
 |L'| noisy words that no candidate fits (syndromes, Berlekamp-Massey, Chien
 search) - no term depends on n except through w and m.
+
+`outcomes_to_bytes` / `outcomes_from_bytes` carry both batches as packed
+little-endian bits, t1 (ell + 1) in all.  Batch 2 moves a byte of each
+symbol at a time, so the codec holds a few bytes of scratch per symbol
+besides the blob and the symbols, and no (t1, ell) table of bits.
 """
 
 from __future__ import annotations
@@ -98,7 +103,9 @@ def _checked_defectives(defectives, params: SchemeParams) -> np.ndarray:
     if defectives.size:
         if defectives.min() < 1:
             raise InvalidInput("defective indices must lie in [1, n]")
-        if np.unique(defectives).size != defectives.size:
+        # A sort, not np.unique, which imports numpy.ma on its first call.
+        ordered = np.sort(defectives)
+        if (ordered[1:] == ordered[:-1]).any():
             raise InvalidInput("defective set contains repeats")
     return defectives
 
@@ -234,16 +241,63 @@ def decode(
 # ---------------------------------------------------------------------------
 # Outcome serialization: 16-byte header + little-endian packed bits; batch 2
 # has ell little-endian bits per symbol, symbol j at bits [j*ell, (j+1)*ell).
+# Eight symbols fill ell whole bytes, so symbol 8a + r starts at bit
+# (r*ell) % 8 of byte a*ell + (r*ell) // 8: for each r the symbols are one
+# strided view of the body, stride ell bytes, and the codec moves them a
+# byte of each symbol at a time, never a bit at a time.
 
 _HEADER = struct.Struct("<4sHHQ")
 
 
-def _symbol_bits(symbols: np.ndarray, ell: int) -> np.ndarray:
-    return ((symbols[:, None] >> np.arange(ell)) & 1).astype(np.uint8).ravel()
+def _symbol_bytes(ell: int):
+    """(r, first byte, shift, bytes) of the eight residues r of the batch-2 layout.
+
+    A symbol is below 2^63 whatever ell is, so only its first min(ell, 63)
+    bits can be 1, and they span at most 9 bytes.
+    """
+    width = min(ell, 63)
+    for r in range(8):
+        start, shift = divmod(r * ell, 8)
+        yield r, start, shift, (shift + width + 7) // 8
 
 
-def _bit_symbols(bits: np.ndarray, ell: int) -> np.ndarray:
-    return bits.reshape(-1, ell).astype(np.int64) @ (1 << np.arange(ell))
+def _pack_symbols(symbols: np.ndarray, ell: int) -> bytes:
+    """The batch-2 bitstream of int64 symbols in [0, 2^ell): ceil(t1*ell / 8) bytes."""
+    n2 = (symbols.size * ell + 7) // 8
+    out = np.zeros(n2 + 9, dtype=np.uint8)  # the spare bytes take the last windows
+    for r, start, shift, count in _symbol_bytes(ell):
+        v = symbols[r::8].astype(np.uint64)
+        stop = start + v.size * ell
+        out[start:stop:ell] |= (v << np.uint64(shift)).astype(np.uint8)
+        for k in range(1, count):
+            out[start + k : stop + k : ell] |= (v >> np.uint64(8 * k - shift)).astype(np.uint8)
+    return out[:n2].tobytes()
+
+
+def _unpack_symbols(body: np.ndarray, t1: int, ell: int) -> np.ndarray:
+    """t1 int64 symbols from the batch-2 bitstream body (uint8); its padding bits are not read.
+
+    Raises MalformedResultFile when a symbol has a 1 at bit 63 or above,
+    which no int64 symbol has.
+    """
+    raw = np.zeros(body.size + 9, dtype=np.uint8)
+    raw[: body.size] = body
+    symbols = np.empty(t1, dtype=np.int64)
+    mask = np.uint64((1 << min(ell, 63)) - 1)
+    for r, start, shift, count in _symbol_bytes(ell):
+        stop = start + (t1 - r + 7) // 8 * ell
+        v = (raw[start:stop:ell] >> np.uint8(shift)).astype(np.uint64)
+        for k in range(1, count):
+            v |= raw[start + k : stop + k : ell].astype(np.uint64) << np.uint64(8 * k - shift)
+        v &= mask
+        symbols[r::8] = v
+    if ell > 63 and t1:
+        # The bits past 63 were not read: the symbols must pack back to the body.
+        again = np.frombuffer(_pack_symbols(symbols, ell), dtype=np.uint8)
+        tail = np.uint8((1 << (t1 * ell % 8 or 8)) - 1)
+        if not np.array_equal(again[:-1], body[:-1]) or (again[-1] ^ body[-1]) & tail:
+            raise MalformedResultFile("a batch-2 symbol exceeds 2^63 - 1")
+    return symbols
 
 
 def outcomes_to_bytes(y1: Batch1Outcome, y2: Batch2Outcome) -> bytes:
@@ -256,8 +310,7 @@ def outcomes_to_bytes(y1: Batch1Outcome, y2: Batch2Outcome) -> bytes:
         raise InvalidInput(f"ell = {y2.ell} exceeds 65535, the largest the outcome header holds")
     header = _HEADER.pack(OUTCOME_MAGIC, OUTCOME_VERSION, y2.ell, t1)
     body1 = np.packbits(y1.bits, bitorder="little").tobytes()
-    body2 = np.packbits(_symbol_bits(y2.symbols, y2.ell), bitorder="little").tobytes()
-    return header + body1 + body2
+    return header + body1 + _pack_symbols(y2.symbols, y2.ell)
 
 
 def outcomes_from_bytes(blob: bytes):
@@ -275,6 +328,5 @@ def outcomes_from_bytes(blob: bytes):
     if len(blob) != _HEADER.size + n1 + n2:
         raise MalformedResultFile("outcome blob length disagrees with its header")
     raw = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
-    bits1 = np.unpackbits(raw[:n1], bitorder="little")[:t1]
-    bits2 = np.unpackbits(raw[n1:], bitorder="little")[: t1 * ell]
-    return Batch1Outcome(bits1), Batch2Outcome(_bit_symbols(bits2, ell), ell)
+    bits1 = np.unpackbits(raw[:n1], count=t1, bitorder="little")
+    return Batch1Outcome(bits1), Batch2Outcome(_unpack_symbols(raw[n1:], t1, ell), ell)

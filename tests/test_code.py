@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from bitmix.gf import get_field
 from bitmix.scheme import (
     Batch1Outcome,
     Batch2Outcome,
-    _bit_symbols,
-    _symbol_bits,
+    _pack_symbols,
+    _unpack_symbols,
     outcomes_from_bytes,
     outcomes_to_bytes,
 )
@@ -215,12 +217,18 @@ def test_degenerate_single_item():
 # lives beside the outcome bytes in scheme.py.
 
 
+def _stream_bits(symbols, ell):
+    """The first len(symbols) * ell bits of their packed batch-2 stream."""
+    body = np.frombuffer(_pack_symbols(np.asarray(symbols, dtype=np.int64), ell), np.uint8)
+    return np.unpackbits(body, count=len(symbols) * ell, bitorder="little")
+
+
 def test_symbol_pack_example():
-    assert _symbol_bits(np.array([5]), ell=3).tolist() == [1, 0, 1]
+    assert _stream_bits([5], ell=3).tolist() == [1, 0, 1]
 
 
 def test_symbol_pack_block():
-    bits = _symbol_bits(np.array([5, 1]), ell=3)
+    bits = _stream_bits([5, 1], ell=3)
     assert bits.tolist() == [1, 0, 1, 1, 0, 0]
 
 
@@ -235,9 +243,9 @@ def test_symbol_pack_range_check():
 def test_pack_unpack_exhaustive():
     for ell in range(2, 9):
         syms = np.arange(2**ell)
-        bits = _symbol_bits(syms, ell)
-        assert bits.size == syms.size * ell
-        assert np.array_equal(_bit_symbols(bits, ell), syms)
+        body = np.frombuffer(_pack_symbols(syms, ell), np.uint8)
+        assert body.size == (syms.size * ell + 7) // 8
+        assert np.array_equal(_unpack_symbols(body, syms.size, ell), syms)
 
 
 def test_unpack_length_check():
@@ -511,6 +519,63 @@ def test_errata_stage_keeps_no_table_on_the_codebook(monkeypatch):
         if name not in before:
             for array in value if isinstance(value, tuple) else (value,):
                 assert np.size(array) <= cb.w, name
+
+
+def _errata_rows(cb, seed, count=30):
+    """Seeded (received, erased, f) rows for the errata stage: a third within
+    the radius, a third beyond it, and a third the OR of two codewords (two
+    defectives on one string), each with f erasures."""
+    rng = np.random.default_rng(seed)
+    radius = cb.w - cb.m
+    for i in range(count):
+        word = cb.encode_index(int(rng.integers(1, cb.n + 1)))
+        f = int(rng.integers(0, radius + 1))
+        if i % 3 == 0:
+            e = int(rng.integers(0, (radius - f) // 2 + 1))
+        elif i % 3 == 1:
+            e = cb.w - f
+        else:
+            word |= cb.encode_index(int(rng.integers(1, cb.n + 1)))
+            e = 0
+        at = rng.permutation(cb.w)
+        word[at[f:f + e]] ^= rng.integers(1, cb.q, size=e)
+        erased = np.zeros(cb.w, dtype=bool)
+        erased[at[:f]] = True
+        word[erased] = 0
+        yield word, erased, f
+
+
+@pytest.mark.parametrize("n, w, ell, sha256", [
+    (2**16, 12, 4, "05f9918967e9816e3bc945485d92d18f1f00fb0f8816c3b1058cde86d39b3dfa"),
+    (2**14, 30, 5, "307499cfca60d7125167271166327dcc90251a93277953b04651b32920871948"),
+    (2**20, 381, 9, "1cfbd597d65a3bef26638eed4c9e90bdc2a51c57f477efecae782fa407b3cf02"),
+])
+def test_errata_roots_and_weights_are_pinned(n, w, ell, sha256):
+    # The weights v_j and the roots of 30 rows, as the errata stage found
+    # them when it held (w, w) and (w, w - m + 1) int64 tables.
+    cb = Codebook(n, w, ell)
+    digest = hashlib.sha256(cb._weights.astype("<i8").tobytes())
+    for row in _errata_rows(cb, w):
+        digest.update(np.packbits(cb._errata_roots(*row)).tobytes())
+    assert digest.hexdigest() == sha256
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_errata_stage_holds_its_tables_a_block_at_a_time():
+    # At w = 381 the (w, w) differences of the weights and the (w, w - m + 1)
+    # powers of a row were 2.2 and 2.5 MB of int64 tables.
+    cb = Codebook(n=2**20, w=381, ell=9)
+    assert _traced_peak(lambda: cb._weights) < 0.75 * 2**20
+    for row in _errata_rows(cb, 1, count=6):
+        assert _traced_peak(lambda: cb._errata_roots(*row)) < 1.0 * 2**20
 
 
 @pytest.mark.parametrize("n, w, ell", [(2**20, 381, 9), (2**16, 259, 9), (2**12, 30, 5)])

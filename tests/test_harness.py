@@ -2,6 +2,8 @@ import copy
 import functools
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -129,6 +131,37 @@ def test_classify_failure_precedence():
         == "string-extra"
     )
     assert classify_failure(False, d, np.array([1, 5]), np.array([1, 5])) == "code-failure"
+
+
+def test_classify_failure_finds_a_repeat_anywhere():
+    d = np.array([3, 9, 12, 40])
+    for strings in ([7, 1, 7, 2], [1, 2, 3, 1], [5, 5, 5, 5]):
+        assert classify_failure(False, d, np.array(strings), np.array(strings)) \
+            == "duplicate-assignment"
+    assert classify_failure(False, d, np.array([4, 1, 3, 2]), np.array([1, 2, 3, 4])) \
+        == "code-failure"
+
+
+def test_a_trial_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 0.76 MB of RSS in
+    # every `bitmix run` process; a trial tests distinctness with a sort.
+    # xi > 0 and some trials that fail reach every path of a trial.
+    script = """
+import sys
+from bitmix.bundle import build_design
+from bitmix.harness import run_trial
+bundle = build_design(2**12, 4, xi=0.1, regime="smallk", seed=1, verify=False)
+records = [run_trial(bundle, i, 100 + i, 4) for i in range(20)]
+assert not all(r.success for r in records)
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_trial_deterministic():

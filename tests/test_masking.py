@@ -821,6 +821,25 @@ def test_narrow_offsets_round_trip_keeps_the_file_and_a_writable_table(tmp_path,
     back.offsets[0, 0] = 0
 
 
+def test_positions_make_the_offsets_read_only():
+    # Copying string 0 over string 1 after one check: the cached positions
+    # would answer for the old table (cond2_all True, where a fresh set with
+    # the edit reads False), so the edit must raise instead.
+    p = derive_params(2**10, 2)
+    mset = construct_candidate(p, seed=0)
+    mset.offsets[0, 0] = mset.offsets[0, 0]  # writable until the positions exist
+    assert check_lcs_conditions_all(mset, [0, 1])["cond2_all"]
+    with pytest.raises(ValueError, match="read-only"):
+        mset.offsets[1] = mset.offsets[0]
+    edited = construct_candidate(p, seed=0).offsets
+    edited[1] = edited[0]
+    fresh = MaskingSet(edited, p, seed=0)
+    assert not check_lcs_conditions_all(fresh, [0, 1])["cond2_all"]
+    # the caller's array is the set's table
+    with pytest.raises(ValueError, match="read-only"):
+        edited[1, 0] = 0
+
+
 def test_load_detects_tamper(tmp_path):
     p = derive_params(2**16, 2, regime=REGIME_SMALLK)
     mset = build_smallk_set(p, seed=1)

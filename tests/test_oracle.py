@@ -449,6 +449,23 @@ def test_save_refuses_a_drawn_set_changed_since_its_draw(tmp_path, monkeypatch, 
     assert calls == [bundle.masking.seed]
 
 
+def test_a_bundle_given_a_set_of_other_params_saves_with_their_codebook(tmp_path):
+    # A (2^12, 4) bundle given a (2^12, 5) design's set: its codebook, and
+    # so the file's, is that of the new params, which load_design accepts.
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    other = build_design(2**12, 5, seed=4, verify=False).masking
+    bundle.masking = other
+    p = other.params
+    assert (bundle.codebook.n, bundle.codebook.w, bundle.codebook.ell) == (p.n, p.w, p.ell)
+    path = tmp_path / "design.json"
+    save_design(bundle, path)
+    back = load_design(path)
+    assert back.params == p and np.array_equal(back.masking.offsets, other.offsets)
+    assert (back.codebook.w, back.codebook.ell, back.codebook.m) == (p.w, p.ell, bundle.codebook.m)
+    assert json.loads(path.read_text())["codebook"] == {
+        "w": p.w, "ell": p.ell, "m": bundle.codebook.m}
+
+
 def test_load_refuses_a_rehashed_seed_edit(tmp_path):
     payload = _saved_payload(tmp_path, n=2**12, k=4, seed=3)
     del payload["sha256"]

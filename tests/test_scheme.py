@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,6 +515,81 @@ def test_batch2_bits_round_trip():
         _, back = outcomes_from_bytes(outcomes_to_bytes(y1, Batch2Outcome(symbols, ell)))
         assert back.ell == ell
         assert np.array_equal(back.symbols, symbols)
+
+
+def _reference_batch2(symbols, ell):
+    """The batch-2 body as the codec once built it, through a (t1, ell) int64 table."""
+    bits = ((symbols[:, None] >> np.arange(ell)) & 1).astype(np.uint8).ravel()
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
+@pytest.mark.parametrize("ell", [*range(1, 17), 17, 31, 63])
+@pytest.mark.parametrize("t1", [1, 7, 8, 9, 1001])
+def test_batch2_layout_matches_the_int64_reference(ell, t1):
+    rng = np.random.default_rng([ell, t1])
+    symbols = rng.integers(0, (1 << ell) - 1, size=t1, endpoint=True, dtype=np.int64)
+    symbols[: min(t1, 2)] = [(1 << ell) - 1, 0][: min(t1, 2)]
+    bits = rng.integers(0, 2, size=t1, dtype=np.uint8)
+    blob = outcomes_to_bytes(Batch1Outcome(bits), Batch2Outcome(symbols, ell))
+    assert blob[16 + (t1 + 7) // 8 :] == _reference_batch2(symbols, ell)
+    back1, back2 = outcomes_from_bytes(blob)
+    assert np.array_equal(back1.bits, bits) and back2.ell == ell
+    assert back2.symbols.dtype == np.int64 and np.array_equal(back2.symbols, symbols)
+
+
+@pytest.mark.parametrize("ell", [64, 70, 0xFFFF])
+def test_batch2_symbols_past_63_bits_round_trip_and_refuse_a_high_bit(ell):
+    # symbols stay below 2^63 whatever ell is: the bits above are 0 when
+    # packed, and a blob with a 1 there is malformed, not cut to 63 bits
+    symbols = np.array([(1 << 63) - 1, 0, 5, (1 << 62) + 1], dtype=np.int64)
+    y1 = Batch1Outcome(np.zeros(symbols.size, dtype=np.uint8))
+    blob = outcomes_to_bytes(y1, Batch2Outcome(symbols, ell))
+    assert len(blob) == 16 + 1 + (symbols.size * ell + 7) // 8
+    assert np.array_equal(outcomes_from_bytes(blob)[1].symbols, symbols)
+    body = 17 * 8  # first bit of batch 2
+    for bit in (63, ell - 1, ell + 63):  # symbol 0's bit 63 and last bit, symbol 1's bit 63
+        spoiled = bytearray(blob)
+        spoiled[(body + bit) // 8] |= 1 << ((body + bit) % 8)
+        with pytest.raises(MalformedResultFile, match="2\\^63"):
+            outcomes_from_bytes(bytes(spoiled))
+
+
+def test_batch2_padding_bits_are_not_read():
+    # 3 symbols of 3 bits leave 7 padding bits in the last byte
+    y1 = Batch1Outcome(np.zeros(3, dtype=np.uint8))
+    blob = bytearray(outcomes_to_bytes(y1, Batch2Outcome(np.array([7, 0, 5]), ell=3)))
+    blob[-1] |= 0xFE
+    assert outcomes_from_bytes(bytes(blob))[1].symbols.tolist() == [7, 0, 5]
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_outcome_codec_holds_no_bit_table():
+    # At (2^20, 20) batch 2 is 39,760 symbols of 9 bits, a 45 KB body; a
+    # (t1, ell) int64 table of its bits was 2.9 MB.  The parsed symbols
+    # themselves are 318 KB of int64.
+    p = derive_params(2**20, 20)
+    rng = np.random.default_rng(20)
+    y1 = Batch1Outcome(rng.integers(0, 2, size=p.t1, dtype=np.uint8))
+    y2 = Batch2Outcome(rng.integers(0, p.q, size=p.t1), p.ell)
+    blob = outcomes_to_bytes(y1, y2)
+    assert _traced_peak(lambda: outcomes_to_bytes(y1, y2)) < 0.6 * 2**20
+    assert _traced_peak(lambda: outcomes_from_bytes(blob)) < 0.6 * 2**20
+
+
+@pytest.mark.parametrize("defectives", [[5, 5], [5, 9, 5], [9, 5, 700, 5], [700, 700, 700]])
+def test_repeated_defectives_are_refused(defectives):
+    p, mset, cb, asg = _design(2**10, 4)
+    with pytest.raises(InvalidInput, match="repeats"):
+        simulate_outcomes(defectives, asg, mset, cb)
+    simulate_outcomes(sorted(set(defectives)), asg, mset, cb)
 
 
 @pytest.mark.parametrize(
