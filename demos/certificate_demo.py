@@ -54,7 +54,7 @@ def main():
     for row in mat:
         print("     ", list(int(v) for v in row))
     report = verify_promising(mset)
-    print(f"   verify_promising -> passed={report.passed}, status={mset.status!r}")
+    print(f"   verify_promising -> passed={report.passed}")
 
     print()
     print("2) random candidate at derived desk-scale parameters (k=10)")

@@ -8,12 +8,12 @@ a sha256 of its offsets table (offsets_sha256) and a sha256 over the
 canonical payload.  A load rebuilds the set from its seed and checks the
 rebuilt table against offsets_sha256, which also catches a numpy whose
 Generator draws another stream.  save_design writes only sets whose offsets
-are their seed's.  A bundle records the seed, params and offsets_sha256 of
-its set as build_design drew it or load_design rebuilt it, so saving a set
-that still matches that record costs the digest that the file holds
-anyway; any other set is redrawn from its seed and compared.  Any edit, a
-key the format does not hold, or a count or seed that is not an integer in
-range surfaces as CorruptDesignFile, its message led by the file's path.
+are their seed's.  Sets and bundles are frozen, and a set records that
+construct_candidate drew it from its seed, so saving such a set costs only
+the digest that the file holds; a hand-built set is redrawn from its seed
+and compared.  Any edit, a key the format does not hold, or a count or seed
+that is not an integer in range surfaces as CorruptDesignFile, its message
+led by the file's path.
 """
 
 from __future__ import annotations
@@ -53,31 +53,24 @@ _SET_KEYS = frozenset({"format", "version", "regime", "params", "seed", "status"
 _CODEBOOK_KEYS = frozenset({"w", "ell", "m"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignBundle:
+    """A masking set, an assignment seed in [0, 2^64) (else InvalidInput) and
+    the codebook of the set's params.  Frozen: dataclasses.replace(bundle,
+    masking=other) is a bundle with other's set and codebook."""
+
     masking: MaskingSet
     assignment_seed: int
-    # (masking seed, params, offsets_sha256) of the set as build_design drew
-    # it or load_design rebuilt it: save_design need not redraw a set that
-    # still matches it.
-    _drawn: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    codebook: Codebook = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.params
-        self._codebook = Codebook(p.n, p.w, p.ell)
+        object.__setattr__(self, "assignment_seed", _seed("assignment_seed", self.assignment_seed))
+        object.__setattr__(self, "codebook", Codebook(p.n, p.w, p.ell))
 
     @property
     def params(self) -> SchemeParams:
         return self.masking.params
-
-    @property
-    def codebook(self) -> Codebook:
-        """The codebook of the set's params, rebuilt when `masking` is replaced
-        by a set of other params."""
-        p, cb = self.params, self._codebook
-        if (cb.n, cb.w, cb.ell) != (p.n, p.w, p.ell):
-            cb = self._codebook = Codebook(p.n, p.w, p.ell)
-        return cb
 
     @property
     def assignment(self) -> Assignment:
@@ -115,23 +108,13 @@ def build_design(
         mset = build_smallk_set(params, mask_seed, max_attempts)
     else:
         mset = build_lcs(params, mask_seed, max_attempts)
-    bundle = DesignBundle(mset, assign_seed)
-    bundle._drawn = (mset.seed, mset.params, _offsets_sha256(mset.offsets))
-    return bundle
+    return DesignBundle(mset, assign_seed)
 
 
 def _sha256(payload: dict) -> str:
     """Hex sha256 of the canonical (sorted-key, compact) JSON of payload."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
-
-
-def _offsets_sha256(offsets: np.ndarray) -> str:
-    """Hex sha256 of the table's bytes, row by row, each offset little-endian
-    in the table's own type (the narrowest unsigned one that holds c1*k - 1)."""
-    return hashlib.sha256(
-        np.ascontiguousarray(offsets, dtype=offsets.dtype.newbyteorder("<"))
-    ).hexdigest()
 
 
 def _seed(name: str, value) -> int:
@@ -149,12 +132,11 @@ def _check_keys(obj: dict, allowed: frozenset, what: str) -> None:
         raise CorruptDesignFile(f"unknown keys {unknown} in the {what}")
 
 
-def _canonical_payload(mset: MaskingSet, drawn: tuple | None) -> dict:
+def _canonical_payload(mset: MaskingSet) -> dict:
     seed = _seed("masking seed", mset.seed)
-    digest = _offsets_sha256(mset.offsets)
-    # A set that matches the record of its draw is its seed's; any other is
+    # A set that construct_candidate drew is its seed's; any other is
     # redrawn and compared.
-    if drawn != (seed, mset.params, digest) and not np.array_equal(
+    if not mset.drawn and not np.array_equal(
         mset.offsets, construct_candidate(mset.params, seed).offsets
     ):
         raise InvalidInput(
@@ -168,7 +150,7 @@ def _canonical_payload(mset: MaskingSet, drawn: tuple | None) -> dict:
         "params": mset.params.to_json(),
         "seed": seed,
         "status": mset.status,
-        "offsets_sha256": digest,
+        "offsets_sha256": mset.offsets_sha256,
     }
 
 
@@ -180,30 +162,31 @@ def _masking_set_from_payload(payload) -> MaskingSet:
     _check_keys(payload, _SET_KEYS, "masking set")
     params = SchemeParams.from_json(payload["params"], regime=payload["regime"])
     seed = _seed("seed", payload["seed"])
-    mset = construct_candidate(params, seed)
-    if _offsets_sha256(mset.offsets) != payload["offsets_sha256"]:
+    drawn = construct_candidate(params, seed)
+    mset = MaskingSet(drawn.offsets, params, seed, payload["status"], _drawn=True)
+    if mset.offsets_sha256 != payload["offsets_sha256"]:
         raise CorruptDesignFile(
             f"the offsets rebuilt from seed {seed} do not match the file's offsets_sha256"
         )
-    return MaskingSet(mset.offsets, params, seed, payload["status"])
+    return mset
 
 
 def save_design(bundle: DesignBundle, path: str | os.PathLike) -> None:
     """Write bundle as a design file; InvalidInput when its offsets are not its seed's.
 
-    A set that matches the bundle's record of its draw is written without a
-    redraw; any other set is redrawn from its seed and compared first.
+    A set that construct_candidate drew is written without a redraw; a
+    hand-built set is redrawn from its seed and compared first.
     """
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
-        "assignment_seed": int(bundle.assignment_seed),
+        "assignment_seed": bundle.assignment_seed,
         "codebook": {
             "w": bundle.codebook.w,
             "ell": bundle.codebook.ell,
             "m": bundle.codebook.m,
         },
-        "masking": _canonical_payload(bundle.masking, bundle._drawn),
+        "masking": _canonical_payload(bundle.masking),
     }
     payload["sha256"] = _sha256(payload)
     with open(path, "wb") as fh:
@@ -236,9 +219,7 @@ def _bundle_from_payload(payload) -> DesignBundle:
     w, ell, m = (checked_integer(f"codebook {key}", cb.get(key)) for key in ("w", "ell", "m"))
     if (w, ell) != (mset.params.w, mset.params.ell):
         raise CorruptDesignFile("codebook shape disagrees with params")
-    bundle = DesignBundle(mset, _seed("assignment_seed", payload.get("assignment_seed")))
+    bundle = DesignBundle(mset, payload.get("assignment_seed"))
     if m != bundle.codebook.m:
         raise CorruptDesignFile("codebook message length disagrees with n")
-    # The rebuilt table was checked against this digest.
-    bundle._drawn = (mset.seed, mset.params, payload["masking"]["offsets_sha256"])
     return bundle

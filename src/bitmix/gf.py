@@ -2,8 +2,9 @@
 
 Tables are built once per field from a primitive polynomial; construction
 asserts that x generates the full multiplicative group, so a non-primitive
-polynomial cannot slip through silently.  All operations accept scalars or
-numpy arrays and are pure.
+polynomial cannot slip through silently.  The operations (`mul`, `inv`,
+`div`, `vandermonde`, `interpolate` and `solve`) accept scalars or numpy
+arrays and are pure.
 
 The log of 0 is a sentinel that lands every product with a zero factor in an
 all-zero tail of the antilog table, so a product of two elements is one
@@ -86,12 +87,6 @@ class GF2m:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def prod(self, a, axis: int = -1) -> np.ndarray:
-        """Product of the elements of `a` along `axis`."""
-        a = np.asarray(a, dtype=np.int64)
-        out = self.exp[self.log[a].sum(axis=axis) % (self.q - 1)].astype(np.int64)
-        return np.where((a == 0).any(axis=axis), 0, out)
 
     def vandermonde(self, points: np.ndarray, ncols: int) -> np.ndarray:
         """Matrix V with V[i, j] = points[i]**j."""

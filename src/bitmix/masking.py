@@ -45,13 +45,17 @@ pass reads about 16 |S| positions over the strings still alive.  On a
 noiseless outcome that costs about 4 |S| reads, plus w per string that
 outlives the first pass, not |S| w.
 
+A `MaskingSet` is frozen, and its table is read-only from construction on,
+so the positions and digest it caches cannot go stale.
+
 All verification arithmetic is exact (scaled integers; the means are rationals
 with denominator |S|-1), so the certificate cannot drift with float rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,7 +66,7 @@ from .errors import (
     InvalidInput,
     ShapeMismatch,
 )
-from .params import SchemeParams, checked_array
+from .params import SchemeParams, checked_array, checked_integer
 from .seeding import derive_seed
 
 STATUS_UNVERIFIED = "unverified"
@@ -93,35 +97,41 @@ _PAIR_ROWS = 16
 _LAYOUT = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskingSet:
     """|S| masking strings plus the params and provenance they were built for.
 
-    The set keeps a caller's writable offsets table as it is, without a
-    copy, and may be edited in place until its positions (`flat_positions`)
-    are built: they are cached, and every check and decode reads them.  From
-    then the table is read-only, so an in-place edit of `offsets` (the
-    caller's array, when the set kept it) raises ValueError instead of
-    leaving the positions to answer for the old table.
+    Frozen, with a read-only offsets table from construction on, so the
+    cached positions (`flat_positions`) and digest (`offsets_sha256`) always
+    answer for it.  A caller's table is copied once; the table that
+    `construct_candidate` drew from `seed` is kept with no copy, and the set
+    records that draw (`drawn`).  `dataclasses.replace` never gives a drawn set.
     """
 
     offsets: np.ndarray  # (s_size, w) per-segment offsets
     params: SchemeParams
     seed: int
     status: str = STATUS_UNVERIFIED
+    # True only from construct_candidate's table for (params, seed).
+    _drawn: InitVar[bool] = False
+    drawn: bool = field(default=False, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _drawn):
         if self.status not in _STATUSES:
             raise InvalidInput(f"unknown status {self.status!r}")
-        segment_len = self.params.segment_len
-        table = checked_array("offsets", self.offsets, 2, segment_len,
-                              np.min_scalar_type(segment_len - 1))
-        # A read-only table (a caller's, or a view of one) is copied, so that
-        # the set's own table is writable.
-        self.offsets = table if table.flags.writeable else table.copy()
+        table, segment_len = self.offsets, self.params.segment_len
+        if not _drawn:
+            table = checked_array("offsets", table, 2, segment_len,
+                                  np.min_scalar_type(segment_len - 1))
+            # The caller's own array, or a view of one, is copied.
+            if table is self.offsets or not table.flags.owndata:
+                table = table.copy()
         expect = (self.params.s_size, self.params.w)
-        if self.offsets.shape != expect:
-            raise ShapeMismatch(f"offsets shape {self.offsets.shape} != {expect}")
+        if table.shape != expect:
+            raise ShapeMismatch(f"offsets shape {table.shape} != {expect}")
+        table.flags.writeable = False
+        object.__setattr__(self, "offsets", table)
+        object.__setattr__(self, "drawn", bool(_drawn))
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -135,12 +145,18 @@ class MaskingSet:
         offsets' type is never wider, so their sum with the segment starts
         is taken in this type and cannot wrap.  Set-up never reads it; the
         harness builds it before its trial threads start, so none holds it.
-        Building it makes `offsets` read-only (see the class docstring).
         """
         p = self.params
         seg = (np.arange(p.w) * p.segment_len).astype(np.min_scalar_type(p.t1 - 1))
-        self.offsets.flags.writeable = False
         return self.offsets + seg
+
+    @cached_property
+    def offsets_sha256(self) -> str:
+        """Hex sha256 of the table's bytes, row by row, each offset little-endian
+        in the table's own type (the narrowest unsigned one that holds c1*k - 1)."""
+        return hashlib.sha256(
+            np.ascontiguousarray(self.offsets, dtype=self.offsets.dtype.newbyteorder("<"))
+        ).hexdigest()
 
     def usage(self, strings) -> np.ndarray:
         """(t1,) how many of the given strings (repeats counted) have a 1 at each position.
@@ -162,13 +178,22 @@ class MaskingSet:
         Gathers _GATHER positions at a time, so beyond the int64 result it
         holds at most 8 + vec.itemsize bytes per gathered position: about
         0.6 MB for a uint8 vec from usage().  Each row sums in int64.
+        Raises InvalidInput unless vec holds t1 entries.
         """
+        vec = self._checked_vec(vec)
         flat = self.flat_positions
         rows = max(1, _GATHER // self.params.w)
         out = np.empty(len(self), dtype=np.int64)
         for lo in range(0, len(self), rows):
             out[lo:lo + rows] = vec.take(flat[lo:lo + rows]).sum(axis=1, dtype=np.int64)
         return out
+
+    def _checked_vec(self, vec) -> np.ndarray:
+        # The shape alone: a caller's checked vector costs no second pass.
+        vec, t1 = np.asarray(vec), self.params.t1
+        if vec.shape != (t1,):
+            raise InvalidInput(f"the vector must hold t1 = {t1} entries, got shape {vec.shape}")
+        return vec
 
     def reaching(self, vec, threshold: int) -> np.ndarray:
         """Indices (ascending) of the strings s with s^T vec >= threshold.
@@ -182,8 +207,11 @@ class MaskingSet:
         _SCAN segments, so it grows as strings drop out; the scan stops when
         none is left.  A noiseless outcome, where almost every string drops
         out in the first pass, then costs about |S| * _FIRST reads plus w
-        for each string that survives it, not |S| * w.
+        for each string that survives it, not |S| * w.  Raises InvalidInput
+        unless vec holds t1 entries and the threshold is an integer >= 0.
         """
+        vec = self._checked_vec(vec)
+        threshold = checked_integer("threshold", threshold, low=0)
         flat, w = self.flat_positions, self.params.w
         cap = max(1, int(np.max(vec, initial=0)))
         alive = np.arange(len(self))
@@ -218,7 +246,7 @@ def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
         offsets[lo:lo + rows] = rng.integers(
             0, params.segment_len, size=(min(rows, s - lo), w), dtype=np.int32
         )
-    return MaskingSet(offsets, params, seed, STATUS_UNVERIFIED)
+    return MaskingSet(offsets, params, seed, STATUS_UNVERIFIED, _drawn=True)
 
 
 def _collision_blocks(offsets):
@@ -358,17 +386,18 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
     Condition names in the report: "mean" (mean within 4% of w/(c1*k)),
     "max_dev" (every deviation from the string's own mean at most 6.1),
     "sq_dev" (squared-deviation sum at most (|S|-1) * 2w/(c1*k)).  All three
-    are evaluated in exact integer arithmetic.  On pass, the set's status is
-    upgraded to "promising".  Sets built with c1 != 4 use the generalized
-    targets and are flagged as such.  The strings are checked in order as
-    each row block of the collision counts completes them, and the check
-    returns at the first violation.  A set that fails at string 0, as an
-    i.i.d. set at desk scale does, costs one comparison of its table: |S| w
-    compares and an |S| w bool table, with no bucket layout.  One that
-    fails at string i > 0 also builds the layout and reads the blocks up to
-    i's: about (i + _PAIR_ROWS) |S| w / (c1*k) pair increments.  A passing
-    set costs about |S|^2 w / (2 c1*k), plus the |S| w compares of string 0.
-    Memory is O(_PAIR_ROWS |S| + |S| w) either way.
+    are evaluated in exact integer arithmetic.  The set is left as it is:
+    build_lcs returns a passing draw as a "promising" set.  Sets built with
+    c1 != 4 use the generalized targets and are flagged as such.  The
+    strings are checked in order as each row block of the collision counts
+    completes them, and the check returns at the first violation.  A set
+    that fails at string 0, as an i.i.d. set at desk scale does, costs one
+    comparison of its table: |S| w compares and an |S| w bool table, with no
+    bucket layout.  One that fails at string i > 0 also builds the layout
+    and reads the blocks up to i's: about (i + _PAIR_ROWS) |S| w / (c1*k)
+    pair increments.  A passing set costs about |S|^2 w / (2 c1*k), plus the
+    |S| w compares of string 0.  Memory is O(_PAIR_ROWS |S| + |S| w) either
+    way.
     """
     params = mset.params
     s_size, w = params.s_size, params.w
@@ -376,7 +405,6 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
     generalized = params.c1 != 4
 
     if s_size < 2:
-        mset.status = STATUS_PROMISING
         return VerifyReport(True, None, generalized, degenerate=True)
 
     n_others = s_size - 1
@@ -400,7 +428,6 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
             else:
                 continue
             return VerifyReport(False, first, generalized)
-    mset.status = STATUS_PROMISING
     return VerifyReport(True, None, generalized)
 
 
@@ -420,7 +447,7 @@ def build_lcs(params: SchemeParams, seed: int, max_attempts: int | None = None) 
         cand = construct_candidate(params, derive_seed(seed, attempt))
         report = verify_promising(cand)
         if report.passed:
-            return cand
+            return MaskingSet(cand.offsets, params, cand.seed, STATUS_PROMISING, _drawn=True)
         last = report.first_violation
     raise ConstructionFailed(
         f"no candidate passed the collision certificate in {max_attempts} attempts "
@@ -453,8 +480,7 @@ def build_smallk_set(
     for attempt in range(max_attempts):
         cand = construct_candidate(params, derive_seed(seed, attempt))
         if smallk_pairs_ok(cand):
-            cand.status = STATUS_SMALLK
-            return cand
+            return MaskingSet(cand.offsets, params, cand.seed, STATUS_SMALLK, _drawn=True)
     raise ConstructionFailed(
         f"no candidate met the pairwise collision bound w/(2k) in {max_attempts} attempts"
     )

@@ -157,11 +157,8 @@ def identify_strings(y1: Batch1Outcome, mset: MaskingSet, threshold: int) -> np.
     Raises InvalidInput unless y1 is t1 bits in {0, 1} for the design and
     the threshold an integer >= 0.
     """
-    t1 = mset.params.t1
     bits = checked_array("batch-1 outcome", y1.bits, 1, 2, np.uint8)
-    if bits.shape != (t1,):
-        raise InvalidInput(f"batch-1 outcome must be {t1} bits in {{0, 1}}, got {bits.shape}")
-    return mset.reaching(bits, checked_integer("threshold", threshold, low=0))
+    return mset.reaching(bits, threshold)
 
 
 def identify_items(

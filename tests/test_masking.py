@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -244,7 +245,8 @@ def test_verify_passes_on_exact_set():
     assert report.first_violation is None
     assert not report.generalized
     assert not report.degenerate
-    assert mset.status == STATUS_PROMISING
+    # the certificate leaves the set as it is; build_lcs sets the status
+    assert mset.status == STATUS_UNVERIFIED
 
 
 def _stream_stats(mset):
@@ -478,7 +480,7 @@ def test_certificate_reads_only_up_to_the_violating_block(monkeypatch):
     monkeypatch.setattr(masking, "_bucket_layout", counted_layout)
     passing = _orthogonal_set()
     assert verify_promising(passing).passed
-    assert passing.status == STATUS_PROMISING
+    assert passing.status == STATUS_UNVERIFIED
     assert smallk_pairs_ok(passing)
     assert drawn == [[1, _PAIR_ROWS, _PAIR_ROWS, 2]] * 2
     assert built == [_LONG] * 2
@@ -608,6 +610,29 @@ def test_build_smallk():
     assert np.array_equal(mset.offsets, again.offsets)
 
 
+def test_builds_return_a_set_of_their_status_on_the_drawn_table(monkeypatch):
+    # the certificate and the pairwise check leave the draw as it is; the
+    # builder returns a set of its status on the same table, still drawn
+    drawn = []
+    draw = masking.construct_candidate
+
+    def kept(params, seed):
+        drawn.append(draw(params, seed))
+        return drawn[-1]
+
+    monkeypatch.setattr(masking, "construct_candidate", kept)
+    for build, params, status in [
+        (build_smallk_set, derive_params(2**16, 2, regime=REGIME_SMALLK), STATUS_SMALLK),
+        (build_lcs, derive_params(2, 1, regime=REGIME_SMALLK), STATUS_PROMISING),
+    ]:
+        mset = build(params, seed=1)
+        assert (mset.status, drawn[-1].status) == (status, STATUS_UNVERIFIED)
+        assert mset.offsets is drawn[-1].offsets and mset.drawn
+    # a set made by replace is not a draw: it holds its own copy
+    other = dataclasses.replace(mset, status=STATUS_UNVERIFIED)
+    assert not other.drawn and not np.shares_memory(other.offsets, mset.offsets)
+
+
 def test_build_smallk_budget():
     p = derive_params(2**16, 2, regime=REGIME_SMALLK)
     with pytest.raises(ConstructionFailed):
@@ -666,6 +691,25 @@ def test_conditions_empty_and_errors():
         check_lcs_conditions_all(mset, [[0], [1]])
     with pytest.raises(InvalidInput):
         check_lcs_conditions_all(mset, [0.7, 1.2])
+
+
+def test_scores_and_reaching_refuse_a_vector_of_another_length_and_a_negative_threshold():
+    # a short vector raised numpy's IndexError, a long one was read in part,
+    # and a negative threshold listed every string
+    mset = construct_candidate(derive_params(2**12, 4), seed=0)
+    t1 = mset.params.t1
+    for vec in (np.ones(t1 // 2, dtype=np.uint8), np.ones(t1 + 1, dtype=np.uint8),
+                np.ones((1, t1), dtype=np.uint8)):
+        with pytest.raises(InvalidInput, match="t1"):
+            mset.scores(vec)
+        with pytest.raises(InvalidInput, match="t1"):
+            mset.reaching(vec, 1)
+    vec = np.ones(t1, dtype=np.uint8)
+    for threshold in (-1, 1.5, True):
+        with pytest.raises(InvalidInput, match="threshold"):
+            mset.reaching(vec, threshold)
+    assert np.array_equal(mset.reaching(vec, 0), np.arange(len(mset)))
+    assert np.array_equal(mset.scores(vec), np.full(len(mset), mset.params.w))
 
 
 def test_usage_refuses_an_index_outside_the_set(monkeypatch):
@@ -805,7 +849,7 @@ def test_save_load_round_trip(tmp_path):
 def test_narrow_offsets_round_trip_keeps_the_file_and_a_writable_table(tmp_path, k, dtype,
                                                                        sha256):
     # the digest reads uint8 offsets one byte each and uint16 ones as <u2;
-    # the rebuilt table is the set's own and writable
+    # the rebuilt table is the set's own and read-only
     p = _params(n=2**14 + 1, k=k, w=40, ell=6, s_size=50)
     mset = construct_candidate(p, seed=3)
     assert mset.offsets.max() == p.segment_len - 1
@@ -813,31 +857,41 @@ def test_narrow_offsets_round_trip_keeps_the_file_and_a_writable_table(tmp_path,
     save_design(DesignBundle(mset, assignment_seed=5), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     back = load_design(path).masking
-    assert back.offsets.dtype == dtype and back.offsets.flags.writeable
+    assert back.offsets.dtype == dtype and not back.offsets.flags.writeable
     assert np.array_equal(back.offsets, mset.offsets)
     again = tmp_path / "again.json"
     save_design(DesignBundle(back, assignment_seed=5), again)
     assert again.read_bytes() == path.read_bytes()
-    back.offsets[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        back.offsets[0, 0] = 0
 
 
 def test_positions_make_the_offsets_read_only():
     # Copying string 0 over string 1 after one check: the cached positions
     # would answer for the old table (cond2_all True, where a fresh set with
-    # the edit reads False), so the edit must raise instead.
+    # the edit reads False), so the edit must raise instead, in place from
+    # construction on and by reassignment.
     p = derive_params(2**10, 2)
     mset = construct_candidate(p, seed=0)
-    mset.offsets[0, 0] = mset.offsets[0, 0]  # writable until the positions exist
+    with pytest.raises(ValueError, match="read-only"):
+        mset.offsets[0, 0] = mset.offsets[0, 0]
     assert check_lcs_conditions_all(mset, [0, 1])["cond2_all"]
     with pytest.raises(ValueError, match="read-only"):
         mset.offsets[1] = mset.offsets[0]
-    edited = construct_candidate(p, seed=0).offsets
+    edited = mset.offsets.copy()
     edited[1] = edited[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mset.offsets = edited
+    assert check_lcs_conditions_all(mset, [0, 1])["cond2_all"]
     fresh = MaskingSet(edited, p, seed=0)
     assert not check_lcs_conditions_all(fresh, [0, 1])["cond2_all"]
-    # the caller's array is the set's table
-    with pytest.raises(ValueError, match="read-only"):
-        edited[1, 0] = 0
+    # the set copied the caller's array, which stays the caller's to edit
+    assert not np.shares_memory(fresh.offsets, edited)
+    edited[1] = mset.offsets[1]
+    assert np.array_equal(fresh.offsets[1], fresh.offsets[0])
+    for name, value in (("status", STATUS_PROMISING), ("seed", 1), ("params", p)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mset, name, value)
 
 
 def test_load_detects_tamper(tmp_path):

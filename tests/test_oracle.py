@@ -1,7 +1,9 @@
 import base64
 import copy
+import dataclasses
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -422,6 +424,57 @@ def test_a_design_is_drawn_once_to_build_and_save_and_once_to_load(tmp_path, mon
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_a_drawn_set_is_hashed_once_and_loaded_without_a_copy(tmp_path, monkeypatch):
+    # the set caches its digest, and a load keeps the table it drew
+    digests, drawn = [], []
+
+    def hashed(data):
+        digests.append(memoryview(data).nbytes)
+        return hashlib.sha256(data)
+
+    def kept(params, seed):
+        drawn.append(construct_candidate(params, seed))
+        return drawn[-1]
+
+    monkeypatch.setattr("bitmix.masking.hashlib", types.SimpleNamespace(sha256=hashed))
+    monkeypatch.setattr("bitmix.bundle.construct_candidate", kept)
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    size = bundle.masking.offsets.nbytes
+    assert digests == []
+    save_design(bundle, tmp_path / "a.json")
+    save_design(bundle, tmp_path / "b.json")
+    assert digests == [size]
+    back = load_design(tmp_path / "a.json")
+    assert digests == [size] * 2
+    assert back.masking.offsets is drawn[-1].offsets and back.masking.drawn
+    save_design(back, tmp_path / "c.json")
+    assert digests == [size] * 2
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+def test_a_bundle_refuses_values_that_its_file_could_not_load(tmp_path):
+    # Both used to save, to a file that load_design refused: a negative
+    # assignment seed ("must be an integer >= 0") and a status edited after
+    # construction ("unknown status").
+    bundle = build_design(2**12, 4, seed=3, verify=False)
+    mset = bundle.masking
+    for seed in (-5, 2**64, 1.5, True, "7"):
+        with pytest.raises(InvalidInput, match="assignment_seed"):
+            DesignBundle(mset, seed)
+    with pytest.raises(InvalidInput, match="assignment_seed"):
+        dataclasses.replace(bundle, assignment_seed=-5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.assignment_seed = -5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mset.status = "bogus"
+    with pytest.raises(InvalidInput, match="unknown status"):
+        dataclasses.replace(mset, status="bogus")
+    path = tmp_path / "design.json"
+    save_design(bundle, path)
+    back = load_design(path)
+    assert (back.assignment_seed, back.masking.status) == (bundle.assignment_seed, mset.status)
+
+
 def _edit_in_place(mset):
     mset.offsets[0, 0] = (mset.offsets[0, 0] + 1) % mset.params.segment_len
 
@@ -434,27 +487,33 @@ def _reparam(mset):
     mset.params = derive_params(2**12, 5)
 
 
-@pytest.mark.parametrize("change", [_edit_in_place, _reseed, _reparam],
+@pytest.mark.parametrize("change, error", [(_edit_in_place, ValueError),
+                                           (_reseed, dataclasses.FrozenInstanceError),
+                                           (_reparam, dataclasses.FrozenInstanceError)],
                          ids=["edited-in-place", "seed-reassigned", "params-reassigned"])
-def test_save_refuses_a_drawn_set_changed_since_its_draw(tmp_path, monkeypatch, change):
-    # the record of the draw no longer matches, so the set is redrawn from
-    # its seed and compared, and it is not that draw
+def test_save_refuses_a_drawn_set_changed_since_its_draw(tmp_path, monkeypatch, change, error):
+    # a drawn set cannot change since its draw: the change raises, and the
+    # set still saves as its draw, with no redraw
+    path, want = tmp_path / "design.json", tmp_path / "want.json"
+    save_design(build_design(2**12, 4, seed=3, verify=False), want)
     bundle = build_design(2**12, 4, seed=3, verify=False)
-    change(bundle.masking)
+    with pytest.raises(error):
+        change(bundle.masking)
     calls = _counting_draws(monkeypatch)
-    path = tmp_path / "design.json"
-    with pytest.raises(InvalidInput, match="seed"):
-        save_design(bundle, path)
-    assert not path.exists()
-    assert calls == [bundle.masking.seed]
+    save_design(bundle, path)
+    assert calls == []
+    assert path.read_bytes() == want.read_bytes()
 
 
 def test_a_bundle_given_a_set_of_other_params_saves_with_their_codebook(tmp_path):
     # A (2^12, 4) bundle given a (2^12, 5) design's set: its codebook, and
     # so the file's, is that of the new params, which load_design accepts.
-    bundle = build_design(2**12, 4, seed=3, verify=False)
+    built = build_design(2**12, 4, seed=3, verify=False)
     other = build_design(2**12, 5, seed=4, verify=False).masking
-    bundle.masking = other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.masking = other
+    bundle = dataclasses.replace(built, masking=other)
+    assert bundle.assignment_seed == built.assignment_seed
     p = other.params
     assert (bundle.codebook.n, bundle.codebook.w, bundle.codebook.ell) == (p.n, p.w, p.ell)
     path = tmp_path / "design.json"
@@ -484,9 +543,9 @@ def test_load_refuses_a_set_that_rebuilds_to_other_offsets(tmp_path, monkeypatch
     save_design(build_design(2**12, 4, seed=3, verify=False), path)
 
     def flipped(params, seed):
-        mset = construct_candidate(params, seed)
-        mset.offsets[-1, -1] = (mset.offsets[-1, -1] + 1) % params.segment_len
-        return mset
+        offsets = construct_candidate(params, seed).offsets.copy()
+        offsets[-1, -1] = (offsets[-1, -1] + 1) % params.segment_len
+        return MaskingSet(offsets, params, seed)
 
     monkeypatch.setattr("bitmix.bundle.construct_candidate", flipped)
     with pytest.raises(CorruptDesignFile, match="offsets_sha256") as info:

@@ -214,6 +214,10 @@ def test_identify_strings_matches_full_scores():
             edges = [cap * (w - h) + d
                      for h in (0, 1, 3, 4, 5, 36, 37, w - 1, w) for d in (-1, 0, 1)]
             for thr in [-1, 0, 1, 40, w // 2, w - 1, w, w + 1, 2 * w] + edges:
+                if thr < 0:
+                    with pytest.raises(InvalidInput, match="threshold"):
+                        mset.reaching(vec, thr)
+                    continue
                 want = np.nonzero(scores >= thr)[0]
                 assert np.array_equal(mset.reaching(vec, thr), want)
 
