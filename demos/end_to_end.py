@@ -23,7 +23,7 @@ def main():
     print(f"batch-1 outcome: {int(y1.bits.sum())} of {p.t1} tests positive")
 
     threshold = batch1_threshold(p)
-    scores = y1.bits[bundle.masking.flat_positions].sum(axis=1)
+    scores = y1.bits[bundle.masking.positions()].sum(axis=1)
     print(f"string scores: defective strings score "
           f"{sorted(int(scores[s]) for s in set(strings.tolist()))} "
           f"(threshold {threshold} = w); "
@@ -32,7 +32,7 @@ def main():
     result = decode(y1, y2, bundle.masking, bundle.codebook)
     print(f"identified strings: {result.string_list.tolist()}")
     overlaps = {}
-    positions = bundle.masking.flat_positions[result.string_list]
+    positions = bundle.masking.positions(result.string_list)
     usage = np.bincount(positions.ravel(), minlength=p.t1)
     for row, s in enumerate(result.string_list):
         overlaps[int(s)] = int((usage[positions[row]] > 1).sum())

@@ -51,8 +51,9 @@ checked against every non-erased symbol (exact agreement when noiseless,
 2e + f <= w - m when noisy), and a decoded index outside [1, n] is rejected,
 so upstream corruption surfaces as an explicit error (InconsistentWord /
 DecodingFailure) rather than a silently wrong item.  Input is checked once,
-where it enters: `decode_words` checks its words, `scheme.identify_items`
-the outcome it reads words from, and both hand them to one private core.
+where it enters: `decode_words` checks its words, and a batch-2 outcome is
+checked when it is made, so `scheme.identify_items` hands the words it reads
+from one straight to the same private core.
 """
 
 from __future__ import annotations
@@ -206,8 +207,10 @@ class Codebook:
         return self._decode(np.where(erased, 0, words), erased, noisy)
 
     def _decode(self, received, erased, noisy: bool):
-        """`decode_words` on checked words: (L, w) int64 field elements, 0 where
-        the (L, w) mask erased is set, neither written; `identify_items` calls it."""
+        """`decode_words` on checked words: (L, w) field elements in any integer
+        type, 0 where the (L, w) mask erased is set, neither written.  It works
+        in the words' own type; only a row that reaches the errata stage is
+        cast to int64 (by `GF2m.mul`).  `identify_items` calls it."""
         radius = self.w - self.m
         n_erased = erased.sum(axis=1)
         items: list = [None] * len(received)
@@ -294,7 +297,7 @@ class Codebook:
         return roots
 
     def _errata_roots(self, received, erased, f: int) -> np.ndarray:
-        """Stages 2a-2c on one row: received (w,) int64, 0 where the (w,) mask
+        """Stages 2a-2c on one row: received (w,) integers, 0 where the (w,) mask
         erased is set, f erased symbols.  Returns the (w,) mask of the j whose
         b_j^-1 is a root of the row's errata locator."""
         field, radius = self.field, self.w - self.m

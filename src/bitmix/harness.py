@@ -16,9 +16,7 @@ decode timings are therefore kept out of the results file and written to a
 sidecar `<out stem>.timings.json` instead; record_trials adds a third sidecar,
 `<out stem>.trials.jsonl`, and leaves the results as they are.
 
-Trials only read the design.  A cell builds its cached string positions on
-the calling thread before they start: no pool thread's malloc arena then keeps
-them after the cell drops the design, and no two threads race to build them.
+Trials only read the design, which caches no table.
 
 Every JSON object the harness reads (config, cell, params) is read through
 its dataclass: the fields are the schema, and unknown keys are an error.
@@ -235,8 +233,6 @@ def _run_cell(spec: CellSpec, cfg: ExperimentConfig, cell_index: int):
         "verified": cfg.verify,
     }
 
-    # Built here, so that no pool thread's malloc arena keeps a copy.
-    bundle.masking.flat_positions
     seeds = [derive_seed(cfg.seed, 2, cell_index, t) for t in range(cfg.trials)]
 
     def one(args):

@@ -9,12 +9,12 @@ set-quality notions are statistics of pairwise collision counts:
   defectives' strings must collide with each other, and every outside string
   with the defective multiset, in at most w/2 positions total.  A string's
   total is its score (`MaskingSet.scores`) on the multiset's position usage
-  (`MaskingSet.usage`), so no pair is counted one by one.  Every |S| w
-  table is held in the narrowest unsigned type that holds its values, chosen
-  from the params: the offsets below c1*k (uint8 up to c1*k = 256), the
-  cached positions below t1 (uint16 up to t1 = 2^16, 2 |S| w bytes).  The
-  usage counts are uint8 up to 255 strings, and a check gathers them about
-  0.6 MB at a time.
+  (`MaskingSet.usage`), so no pair is counted one by one.  A set holds one
+  |S| w table, its offsets, in the narrowest unsigned type that holds
+  c1*k - 1 (uint8 up to c1*k = 256).  Positions are formed from it per
+  gather (`MaskingSet.positions`), in the narrowest type that holds t1 - 1
+  (uint16 up to t1 = 2^16).  The usage counts are uint8 up to 255 strings,
+  and a check forms and gathers positions about 0.7 MB at a time.
 
 * The deterministic certificate (`verify_promising`): for every string, the
   collision counts against the other |S|-1 strings must have mean within 4%
@@ -23,13 +23,13 @@ set-quality notions are statistics of pairwise collision counts:
   parameters random candidates essentially never satisfy the max-deviation
   bound, which is why construction also offers an unverified path.  The
   pair counts come from one private kernel (`_collision_blocks`).  Its
-  first block is string 0's row, from one comparison of the whole table;
-  the blocks after it hold 16 strings each against the strings after them,
-  counting only the pairs that share a bucket of a layout that is built
-  only when a caller reads past string 0.  Each block completes the
+  first block is string 0's row, compared with the table _GATHER entries
+  at a time; the blocks after it hold 16 strings each against the strings
+  after them, counting only the pairs that share a bucket of a layout that
+  is built only when a caller reads past string 0.  Each block completes the
   statistics of its own strings, so the certificate returns at the block
   that holds the first violation.  An i.i.d. set at desk scale fails at
-  string 0, which costs |S| w compares and an |S| w bool table.  Read to
+  string 0, which costs |S| w compares and no |S| w table.  Read to
   the end, the blocks cost about |S|^2 w / (2 c1*k) increments for random
   offsets; memory is O(16 |S| + |S| w), never |S|^2, and the layout's
   |S| w part is two arrays of string indices, uint16 up to 2^16 strings.
@@ -46,7 +46,8 @@ noiseless outcome that costs about 4 |S| reads, plus w per string that
 outlives the first pass, not |S| w.
 
 A `MaskingSet` is frozen, and its table is read-only from construction on,
-so the positions and digest it caches cannot go stale.
+so the digest it caches cannot go stale.  A copy or pickle of a set is
+rebuilt through its constructor.
 
 All verification arithmetic is exact (scaled integers; the means are rationals
 with denominator |S|-1), so the certificate cannot drift with float rounding.
@@ -81,8 +82,9 @@ _FIRST = 4
 _READS = 16
 _SCAN = 32
 
-# Positions that MaskingSet.scores gathers at a time: numpy gathers through
-# an int64 copy of the narrow positions, 512 KB at this size.
+# Positions that MaskingSet.scores forms and gathers at a time (numpy
+# gathers through an int64 copy of the narrow positions, 512 KB at this
+# size), and offsets that the certificate compares with string 0's at a time.
 _GATHER = 1 << 16
 
 # Offsets that construct_candidate draws at a time.
@@ -102,10 +104,13 @@ class MaskingSet:
     """|S| masking strings plus the params and provenance they were built for.
 
     Frozen, with a read-only offsets table from construction on, so the
-    cached positions (`flat_positions`) and digest (`offsets_sha256`) always
-    answer for it.  A caller's table is copied once; the table that
-    `construct_candidate` drew from `seed` is kept with no copy, and the set
-    records that draw (`drawn`).  `dataclasses.replace` never gives a drawn set.
+    cached digest (`offsets_sha256`) always answers for it.  The set holds
+    no other |S| w table: `positions` forms the positions a caller reads.
+    A caller's table is copied once; the table that `construct_candidate`
+    drew from `seed` is kept with no copy, and the set records that draw
+    (`drawn`).  Neither `dataclasses.replace` nor a copy or pickle gives a
+    drawn set: each rebuilds the set through the constructor, from a copy of
+    its table, so saving one redraws its seed and compares.
     """
 
     offsets: np.ndarray  # (s_size, w) per-segment offsets
@@ -133,22 +138,35 @@ class MaskingSet:
         object.__setattr__(self, "offsets", table)
         object.__setattr__(self, "drawn", bool(_drawn))
 
+    def __reduce__(self):
+        return MaskingSet, (self.offsets, self.params, self.seed, self.status)
+
     def __len__(self) -> int:
         return self.offsets.shape[0]
 
-    @cached_property
-    def flat_positions(self) -> np.ndarray:
-        """(s_size, w) global bit positions of each string's 1s (cached).
+    def positions(self, rows=slice(None), lo: int = 0, hi: int | None = None, *,
+                  by_segment: bool = False) -> np.ndarray:
+        """Global bit positions of the 1s of strings `rows` in segments [lo, hi).
 
-        In the narrowest unsigned type that holds t1 - 1: uint16, 2 |S| w
-        bytes, up to t1 = 2^16, which covers every benchmark cell.  The
-        offsets' type is never wider, so their sum with the segment starts
-        is taken in this type and cannot wrap.  Set-up never reads it; the
-        harness builds it before its trial threads start, so none holds it.
+        rows and [lo, hi) index the strings and segments as numpy indexes
+        offsets[rows, lo:hi]: a slice or an array of strings gives a new
+        C-ordered (strings, segments) array, or (segments, strings) when
+        by_segment, and one string's index a (segments,) array either way.
+        The type is the narrowest unsigned one that holds t1 - 1: uint16, 2
+        bytes a position, up to t1 = 2^16, which covers every benchmark
+        cell.  The offsets' type is never wider, so their sum with the
+        segment starts is taken in this type and cannot wrap.
         """
+        table, starts = self.offsets[rows, lo:hi], self._starts[lo:hi]
+        if by_segment and table.ndim == 2:
+            table, starts = table.T, starts[:, None]
+        return np.add(table, starts, dtype=starts.dtype, order="C")
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        # (w,) each segment's first position, in the positions' type.
         p = self.params
-        seg = (np.arange(p.w) * p.segment_len).astype(np.min_scalar_type(p.t1 - 1))
-        return self.offsets + seg
+        return (np.arange(p.w) * p.segment_len).astype(np.min_scalar_type(p.t1 - 1))
 
     @cached_property
     def offsets_sha256(self) -> str:
@@ -169,23 +187,23 @@ class MaskingSet:
 
     def _usage(self, strings: np.ndarray) -> np.ndarray:
         # usage() of string indices that _validate_chosen has checked.
-        counts = np.bincount(self.flat_positions[strings].ravel(), minlength=self.params.t1)
-        return counts.astype(np.min_scalar_type(len(strings)))
+        return tally(self.positions(strings).astype(np.intp), self.params.t1)
 
     def scores(self, vec) -> np.ndarray:
         """(s_size,) s^T vec for every string s: vec summed over its positions.
 
-        Gathers _GATHER positions at a time, so beyond the int64 result it
-        holds at most 8 + vec.itemsize bytes per gathered position: about
-        0.6 MB for a uint8 vec from usage().  Each row sums in int64.
-        Raises InvalidInput unless vec holds t1 entries.
+        Forms and gathers _GATHER positions at a time, so beyond the int64
+        result it holds, per gathered position, the position (2 bytes up to
+        t1 = 2^16), numpy's intp copy of it and the value: about 0.7 MB for a
+        uint8 vec from usage().  Each row sums in int64.  Raises
+        InvalidInput unless vec holds t1 entries.
         """
         vec = self._checked_vec(vec)
-        flat = self.flat_positions
         rows = max(1, _GATHER // self.params.w)
         out = np.empty(len(self), dtype=np.int64)
         for lo in range(0, len(self), rows):
-            out[lo:lo + rows] = vec.take(flat[lo:lo + rows]).sum(axis=1, dtype=np.int64)
+            part = self.positions(slice(lo, lo + rows))
+            out[lo:lo + rows] = vec.take(part).sum(axis=1, dtype=np.int64)
         return out
 
     def _checked_vec(self, vec) -> np.ndarray:
@@ -212,26 +230,41 @@ class MaskingSet:
         """
         vec = self._checked_vec(vec)
         threshold = checked_integer("threshold", threshold, low=0)
-        flat, w = self.flat_positions, self.params.w
+        w = self.params.w
         cap = max(1, int(np.max(vec, initial=0)))
         alive = np.arange(len(self))
         score = np.zeros(len(self), dtype=np.int64)
         lo, hi = 0, max(0, w - threshold // cap) + _FIRST
         while lo < w and alive.size:
             hi = min(hi, w)
-            # take() gathers faster than indexing with narrow positions, and
-            # while every string is alive a column slice needs no row gather.
-            part = flat[:, lo:hi] if alive.size == len(self) else flat[alive, lo:hi]
-            # Short rows sum slowly: a pass narrower than _SCAN sums the
-            # transposed gather down its columns instead.
+            # While every string is alive a column slice needs no row gather.
+            rows = slice(None) if alive.size == len(self) else alive
+            # Short rows sum slowly: a pass narrower than _SCAN gathers its
+            # positions segment by segment and sums down the columns.
             if hi - lo < _SCAN:
-                score += vec.take(part.T).sum(axis=0, dtype=np.int64)
+                part = self.positions(rows, lo, hi, by_segment=True)
+                score += vec.take(part).sum(axis=0, dtype=np.int64)
             else:
-                score += vec.take(part).sum(axis=1, dtype=np.int64)
+                score += vec.take(self.positions(rows, lo, hi)).sum(axis=1, dtype=np.int64)
             keep = score + cap * (w - hi) >= threshold
             alive, score = alive[keep], score[keep]
             lo, hi = hi, hi + max(_SCAN, _READS * len(self) // max(1, alive.size))
         return alive
+
+
+def tally(positions: np.ndarray, t1: int) -> np.ndarray:
+    """(t1,) how often each position occurs in the (rows, ...) intp array positions.
+
+    The counts come in the narrowest unsigned type that holds the row count,
+    which bounds every count when no row repeats a position, as no string
+    does.  np.add.at adds a 1 of the table's own type through intp indices,
+    numpy's fast path for it (from numpy 1.25); a Python int 1, or narrower
+    indices, falls to a path many times slower.  No t1-long int64 table is
+    made, as np.bincount makes one.
+    """
+    counts = np.zeros(t1, dtype=np.min_scalar_type(len(positions)))
+    np.add.at(counts, positions, counts.dtype.type(1))
+    return counts
 
 
 def construct_candidate(params: SchemeParams, seed: int) -> MaskingSet:
@@ -256,10 +289,10 @@ def _collision_blocks(offsets):
     per-segment offsets.  The blocks come in order and hold the strict upper
     triangle only: block[r, j] is 0 for j <= r, and the columns of strings
     before lo are left out.  The first block is string 0's row alone,
-    counted with one comparison of the whole table: |S| w compares and an
-    |S| w bool table, and no bucket layout.  Only a caller that reads past
-    it builds the layout (_bucket_layout), and then the blocks from string 1
-    on come _PAIR_ROWS rows each.  Two strings collide at segment j only
+    counted by comparing _GATHER offsets at a time with string 0's: |S| w
+    compares, and no |S| w table or bucket layout.  Only a caller that
+    reads past it builds the layout (_bucket_layout), and then the blocks
+    from string 1 on come _PAIR_ROWS rows each.  Two strings collide at segment j only
     when they share the bucket (j, offset), so only those pairs are counted:
     every (string, segment) pairs with the strings listed after it in its
     bucket, and one bincount per block counts the pairs.  For uniform
@@ -271,8 +304,14 @@ def _collision_blocks(offsets):
     c1*k >= _PAIR_ROWS a full pass needs O(_PAIR_ROWS |S| + |S| w) memory.
     """
     s, w = offsets.shape
-    # Counts are at most w, so they sum in its narrowest type.
-    row = (offsets == offsets[0]).sum(axis=1, dtype=np.min_scalar_type(w)).astype(np.int64)
+    # Counts are at most w, so they sum in its narrowest type, _GATHER
+    # compares at a time.
+    row = np.empty(s, dtype=np.min_scalar_type(w))
+    step = max(1, _GATHER // w)
+    for lo in range(0, s, step):
+        part = offsets[lo:lo + step] == offsets[0]
+        np.sum(part, axis=1, dtype=row.dtype, out=row[lo:lo + step])
+    row = row.astype(np.int64)
     row[0] = 0
     yield 0, row[None]
     if s == 1:
@@ -391,13 +430,12 @@ def verify_promising(mset: MaskingSet) -> VerifyReport:
     c1 != 4 use the generalized targets and are flagged as such.  The
     strings are checked in order as each row block of the collision counts
     completes them, and the check returns at the first violation.  A set
-    that fails at string 0, as an i.i.d. set at desk scale does, costs one
-    comparison of its table: |S| w compares and an |S| w bool table, with no
-    bucket layout.  One that fails at string i > 0 also builds the layout
-    and reads the blocks up to i's: about (i + _PAIR_ROWS) |S| w / (c1*k)
-    pair increments.  A passing set costs about |S|^2 w / (2 c1*k), plus the
-    |S| w compares of string 0.  Memory is O(_PAIR_ROWS |S| + |S| w) either
-    way.
+    that fails at string 0, as an i.i.d. set at desk scale does, costs |S| w
+    compares, _GATHER at a time, with no bucket layout.  One that fails at
+    string i > 0 also builds the layout and reads the blocks up to i's:
+    about (i + _PAIR_ROWS) |S| w / (c1*k) pair increments.  A passing set
+    costs about |S|^2 w / (2 c1*k), plus the |S| w compares of string 0.
+    Memory is O(_PAIR_ROWS |S| + |S| w) either way.
     """
     params = mset.params
     s_size, w = params.s_size, params.w
@@ -437,8 +475,8 @@ def build_lcs(params: SchemeParams, seed: int, max_attempts: int | None = None) 
     Raises ConstructionFailed when the budget runs out — which, at desk-scale
     parameters, is the expected outcome: the certificate's constants only
     become satisfiable at very large k.  There an i.i.d. candidate fails at
-    string 0, so each attempt costs its draw and one comparison of its
-    table.  Callers that just need a design (not a certificate) should use
+    string 0, so each attempt costs its draw and |S| w compares.  Callers
+    that just need a design (not a certificate) should use
     construct_candidate directly.
     """
     max_attempts = 16 if max_attempts is None else max_attempts

@@ -10,11 +10,11 @@ strings whose 1-positions are sufficiently covered (threshold w when
 noiseless, ceil((2w/c1 + w)/2) under noise), and each surviving string reads
 its w symbols out of batch 2, erasing positions where another surviving
 string also has a 1.  The |L| words then go through one batched decode:
-erasures only when noiseless, errors and erasures under noise.  Each outcome
-is checked once, in O(t1), by the stage that reads it (`identify_strings`,
-`identify_items`); the words built from it are not checked again.  Work is
-then at most O(|S| w) for batch 1, and about O(|S| + |L| w) on a noiseless
-outcome, where almost every string drops out after a few segments
+erasures only when noiseless, errors and erasures under noise.  The outcomes
+are frozen, and each is checked once, in O(t1), where it is made; the decode
+checks only its shape and ell, and the words built from it are not checked
+again.  Work is then at most O(|S| w) for batch 1, and about O(|S| + |L| w)
+on a noiseless outcome, where almost every string drops out after a few segments
 (`MaskingSet.reaching`); plus about O(|L| T m w) for the candidate stage of
 `Codebook.decode_words` (T = 1 noiseless; under noise 8 for every word and
 32 for a word that none of its first 8 fits: one Lagrange interpolation and
@@ -39,7 +39,7 @@ import numpy as np
 
 from .code import Codebook
 from .errors import InvalidInput, MalformedResultFile
-from .masking import MaskingSet
+from .masking import MaskingSet, tally
 from .params import SchemeParams, checked_array, checked_integer
 from .seeding import GOLDEN64, mix64, mix64_array
 
@@ -68,22 +68,62 @@ class Assignment:
         return (h % np.uint64(self.s_size)).astype(np.int64)
 
 
-@dataclass
+def _symbol_type(ell: int) -> np.dtype:
+    """The narrowest unsigned type that holds an ell-bit symbol below 2^63."""
+    return np.min_scalar_type((1 << min(ell, 63)) - 1)
+
+
+def _frozen(name: str, values, bound: int, dtype) -> np.ndarray:
+    """values as a checked, read-only 1-D dtype array (see checked_array).
+
+    A writable array of the caller's is copied; a read-only one is kept."""
+    arr = checked_array(name, values, 1, bound, dtype)
+    if arr.flags.writeable:
+        # The caller's own array, or a view of one, is copied.
+        if arr is values or not arr.flags.owndata:
+            arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class Batch1Outcome:
+    """The t1 batch-1 outcomes, each 0 or 1.
+
+    Frozen, with a read-only uint8 array checked once, at construction; a
+    copy or pickle is rebuilt through the constructor.
+    """
+
     bits: np.ndarray  # (t1,) uint8 in {0, 1}
 
     def __post_init__(self):
-        self.bits = checked_array("batch-1 outcome", self.bits, 1, 2, np.uint8)
+        object.__setattr__(self, "bits", _frozen("batch-1 outcome", self.bits, 2, np.uint8))
+
+    def __reduce__(self):
+        return Batch1Outcome, (self.bits,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Batch2Outcome:
-    symbols: np.ndarray  # (t1,) values in [0, 2^ell)
+    """The t1 batch-2 symbols, each ell bits.
+
+    Frozen, with a read-only array checked once, at construction, in the
+    narrowest unsigned type that holds 2^ell - 1: uint16 up to ell = 16.
+    Symbols lie below 2^63 whatever ell is, as the outcome codec requires.
+    A copy or pickle is rebuilt through the constructor.
+    """
+
+    symbols: np.ndarray  # (t1,) values in [0, min(2^ell, 2^63))
     ell: int
 
     def __post_init__(self):
-        self.ell = checked_integer("ell", self.ell, low=1)
-        self.symbols = checked_array("batch-2 outcome", self.symbols, 1, 1 << self.ell, np.int64)
+        ell = checked_integer("ell", self.ell, low=1)
+        symbols = _frozen("batch-2 outcome", self.symbols, 1 << min(ell, 63), _symbol_type(ell))
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __reduce__(self):
+        return Batch2Outcome, (self.symbols, self.ell)
 
 
 def batch1_threshold(params: SchemeParams) -> int:
@@ -126,14 +166,14 @@ def simulate_outcomes(
     defectives = _checked_defectives(defectives, params)
 
     y1 = np.zeros(params.t1, dtype=np.uint8)
-    symbols = np.zeros(params.t1, dtype=np.int64)
+    symbols = np.zeros(params.t1, dtype=_symbol_type(params.ell))
     if defectives.size:
         string_idx = assignment.index_of(defectives)
         # intp: numpy scatters through int32 indices about twice as slowly.
-        positions = mset.flat_positions[string_idx].astype(np.intp)
+        positions = mset.positions(string_idx).astype(np.intp)
         y1[positions.ravel()] = 1
         for row, item in enumerate(defectives):
-            symbols[positions[row]] |= codebook.encode_index(int(item))
+            symbols[positions[row]] |= codebook.encode_index(int(item)).astype(symbols.dtype)
 
     if params.xi > 0.0:
         if rng is None:
@@ -142,23 +182,24 @@ def simulate_outcomes(
         # Flips in batch-2 test order: bit b of symbol j is test j*ell + b.
         # Drawn a block of symbols at a time; the generator fills in order,
         # so the stream is that of one (t1, ell) draw.
-        weights = 1 << np.arange(params.ell)
+        weights = (1 << np.arange(params.ell)).astype(symbols.dtype)
         step = max(1, _NOISE_BLOCK // params.ell)
         for lo in range(0, params.t1, step):
             flips = rng.random((min(step, params.t1 - lo), params.ell)) < params.xi
             symbols[lo : lo + step] ^= flips @ weights
 
+    # Read-only, so that the outcomes keep them with no copy.
+    y1.flags.writeable = symbols.flags.writeable = False
     return Batch1Outcome(y1), Batch2Outcome(symbols, params.ell)
 
 
 def identify_strings(y1: Batch1Outcome, mset: MaskingSet, threshold: int) -> np.ndarray:
     """Indices (ascending) of strings with s^T y1 >= threshold, at most w gathers each.
 
-    Raises InvalidInput unless y1 is t1 bits in {0, 1} for the design and
-    the threshold an integer >= 0.
+    Raises InvalidInput unless y1 holds the design's t1 bits and the
+    threshold is an integer >= 0.
     """
-    bits = checked_array("batch-1 outcome", y1.bits, 1, 2, np.uint8)
-    return mset.reaching(bits, threshold)
+    return mset.reaching(y1.bits, threshold)
 
 
 def identify_items(
@@ -173,24 +214,26 @@ def identify_items(
     For each string in the list, its w received symbols are read from y2 with
     positions shared with *another listed string* marked as erasures (per the
     list's collision pattern, not the received values).  The (L, w) matrix of
-    words goes through the decode of `Codebook.decode_words`, unchecked.
+    words, in the symbols' own narrow type, goes through the decode of
+    `Codebook.decode_words`, unchecked: y2 was checked when it was made.
     Strings whose word fails to decode are dropped and tallied: (string
     index, reason) pairs.  Returns (estimate set, failures).  Raises
     InvalidInput unless y2, the string list (indices in [0, |S|)) and the
     codebook's w and ell fit the design.
     """
     params = mset.params
-    symbols = checked_array("batch-2 outcome", y2.symbols, 1, params.q, np.int64)
-    if symbols.shape != (params.t1,) or y2.ell != params.ell:
-        raise InvalidInput(f"batch-2 outcome must be {params.t1} symbols in [0, 2^{params.ell}), "
-                           f"got shape {symbols.shape} with ell={y2.ell}")
+    if y2.symbols.shape != (params.t1,) or y2.ell != params.ell:
+        raise InvalidInput(f"batch-2 outcome must be {params.t1} symbols of ell = {params.ell} "
+                           f"bits, got shape {y2.symbols.shape} with ell = {y2.ell}")
     if (codebook.w, codebook.ell) != (params.w, params.ell):
         raise InvalidInput("the codebook's w and ell must be the design's")
     string_list = checked_array("string list", string_list, 1, len(mset), np.int64)
-    positions = mset.flat_positions[string_list]
+    positions = mset.positions(string_list).astype(np.intp)
     # A string never repeats a position, so a count above 1 is a collision.
-    erased = np.bincount(positions.ravel(), minlength=params.t1).take(positions) > 1
-    items, errors = codebook._decode(np.where(erased, 0, symbols.take(positions)), erased, noisy)
+    erased = tally(positions, params.t1).take(positions) > 1
+    words = y2.symbols.take(positions)
+    np.putmask(words, erased, 0)
+    items, errors = codebook._decode(words, erased, noisy)
     estimate = {item for item in items if item is not None}
     failures = [
         (int(string), type(error).__name__)
@@ -218,9 +261,9 @@ def decode(
 ) -> DecodeResult:
     """Full pipeline: string identification, then per-string index recovery.
 
-    Raises InvalidInput when the outcomes do not fit the design (y1 must be
-    t1 bits in {0, 1}, y2 t1 symbols in [0, 2^ell) for the design's ell), or
-    when the threshold is not an integer >= 0.
+    Raises InvalidInput when the outcomes do not fit the design (y1 must
+    hold t1 bits, y2 t1 symbols of the design's ell), or when the threshold
+    is not an integer >= 0.
     """
     params = mset.params
     if threshold is None:
@@ -259,7 +302,7 @@ def _symbol_bytes(ell: int):
 
 
 def _pack_symbols(symbols: np.ndarray, ell: int) -> bytes:
-    """The batch-2 bitstream of int64 symbols in [0, 2^ell): ceil(t1*ell / 8) bytes."""
+    """The batch-2 bitstream of symbols in [0, min(2^ell, 2^63)): ceil(t1*ell / 8) bytes."""
     n2 = (symbols.size * ell + 7) // 8
     out = np.zeros(n2 + 9, dtype=np.uint8)  # the spare bytes take the last windows
     for r, start, shift, count in _symbol_bytes(ell):
@@ -272,14 +315,14 @@ def _pack_symbols(symbols: np.ndarray, ell: int) -> bytes:
 
 
 def _unpack_symbols(body: np.ndarray, t1: int, ell: int) -> np.ndarray:
-    """t1 int64 symbols from the batch-2 bitstream body (uint8); its padding bits are not read.
+    """t1 read-only symbols from the batch-2 bitstream body (uint8), in their
+    narrowest type; its padding bits are not read.
 
-    Raises MalformedResultFile when a symbol has a 1 at bit 63 or above,
-    which no int64 symbol has.
+    Raises MalformedResultFile when a symbol has a 1 at bit 63 or above.
     """
     raw = np.zeros(body.size + 9, dtype=np.uint8)
     raw[: body.size] = body
-    symbols = np.empty(t1, dtype=np.int64)
+    symbols = np.empty(t1, dtype=_symbol_type(ell))
     mask = np.uint64((1 << min(ell, 63)) - 1)
     for r, start, shift, count in _symbol_bytes(ell):
         stop = start + (t1 - r + 7) // 8 * ell
@@ -294,12 +337,12 @@ def _unpack_symbols(body: np.ndarray, t1: int, ell: int) -> np.ndarray:
         tail = np.uint8((1 << (t1 * ell % 8 or 8)) - 1)
         if not np.array_equal(again[:-1], body[:-1]) or (again[-1] ^ body[-1]) & tail:
             raise MalformedResultFile("a batch-2 symbol exceeds 2^63 - 1")
+    symbols.flags.writeable = False
     return symbols
 
 
 def outcomes_to_bytes(y1: Batch1Outcome, y2: Batch2Outcome) -> bytes:
-    # Checked again: a field set after construction would pack out of range.
-    y1, y2 = Batch1Outcome(y1.bits), Batch2Outcome(y2.symbols, y2.ell)
+    # The outcomes were checked when they were made, and are frozen.
     t1 = y1.bits.size
     if y2.symbols.size != t1:
         raise InvalidInput("batch sizes disagree")
@@ -326,4 +369,5 @@ def outcomes_from_bytes(blob: bytes):
         raise MalformedResultFile("outcome blob length disagrees with its header")
     raw = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
     bits1 = np.unpackbits(raw[:n1], count=t1, bitorder="little")
+    bits1.flags.writeable = False
     return Batch1Outcome(bits1), Batch2Outcome(_unpack_symbols(raw[n1:], t1, ell), ell)

@@ -105,7 +105,7 @@ def materialize(bundle: DesignBundle, limit: int = DENSE_LIMIT) -> DenseDesign:
     matrix = np.zeros((t1 + t1 * ell, params.n), dtype=np.uint8)
     string_idx = bundle.assignment.index_of(np.arange(1, params.n + 1))
     # int64: the batch-2 rows pos * ell pass the narrow positions' range.
-    positions = bundle.masking.flat_positions[string_idx].astype(np.int64)
+    positions = bundle.masking.positions(string_idx).astype(np.int64)
     bit_offsets = np.arange(ell, dtype=np.int64)
     for col in range(params.n):
         pos = positions[col]

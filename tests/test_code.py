@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -233,11 +234,17 @@ def test_symbol_pack_block():
 
 
 def test_symbol_pack_range_check():
+    # a symbol past 2^ell can reach the packer neither by assignment nor by
+    # an edit in place
     y1 = Batch1Outcome(np.zeros(2, dtype=np.uint8))
     y2 = Batch2Outcome(np.array([5, 1]), ell=3)
-    y2.symbols = np.array([8, 1])
+    with pytest.raises(FrozenInstanceError):
+        y2.symbols = np.array([8, 1])
+    with pytest.raises(ValueError, match="read-only"):
+        y2.symbols[0] = 8
     with pytest.raises(InvalidInput):
-        outcomes_to_bytes(y1, y2)
+        Batch2Outcome(np.array([8, 1]), ell=3)
+    assert outcomes_to_bytes(y1, y2)[-1] == 0b001101
 
 
 def test_pack_unpack_exhaustive():

@@ -1,10 +1,8 @@
 import copy
-import functools
 import json
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from bitmix.harness import (
     timings_path_for,
     trials_path_for,
 )
-from bitmix.masking import MaskingSet
 from bitmix.params import REGIME_SMALLK
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -180,26 +177,6 @@ def test_results_identical_across_threads():
     res1, _ = run_experiment(ExperimentConfig(threads=1, **base))
     res3, _ = run_experiment(ExperimentConfig(threads=3, **base))
     assert json.dumps(res1, sort_keys=True) == json.dumps(res3, sort_keys=True)
-
-
-@pytest.mark.parametrize("threads", [2, 3])
-def test_positions_built_on_the_calling_thread(monkeypatch, threads):
-    # the trial pool only reads the cached string positions: they are built
-    # once per cell, before it starts, by the thread that runs the experiment
-    builders = []
-    build = MaskingSet.flat_positions.func
-
-    def spy(mset):
-        builders.append(threading.get_ident())
-        return build(mset)
-
-    cached = functools.cached_property(spy)
-    cached.__set_name__(MaskingSet, "flat_positions")
-    monkeypatch.setattr(MaskingSet, "flat_positions", cached)
-    cells = [CellSpec(n=2**12, k=3), CellSpec(n=2**12, k=3, xi=0.05)]
-    run_experiment(ExperimentConfig(cells=cells, trials=12, seed=4, verify=False,
-                                    threads=threads))
-    assert builders == [threading.get_ident()] * len(cells)
 
 
 def test_cell_accounting():

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -118,10 +120,19 @@ def test_flat_positions():
     p = _params(n=16, k=2, w=4, ell=3, s_size=2)
     offsets = np.array([[0, 1, 2, 3], [7, 0, 5, 1]])
     mset = MaskingSet(offsets, p, seed=0, status=STATUS_UNVERIFIED)
-    flat = mset.flat_positions
+    flat = mset.positions()
     assert flat.shape == (2, 4)
     assert list(flat[0]) == [0, 9, 18, 27]
     assert list(flat[1]) == [7, 8, 21, 25]
+    # any strings and segments, either way round, always a new C-ordered array
+    assert mset.positions([1, 0, 1], 1, 3).tolist() == [[8, 21], [9, 18], [8, 21]]
+    assert mset.positions(1).tolist() == [7, 8, 21, 25]
+    assert mset.positions(1, by_segment=True).tolist() == [7, 8, 21, 25]
+    assert mset.positions(slice(1, 2), hi=2).tolist() == [[7, 8]]
+    segments = mset.positions(np.array([1, 0]), 2, 4, by_segment=True)
+    assert segments.tolist() == [[21, 18], [25, 27]]
+    for part in (flat, segments, mset.positions(slice(None), 1, 3)):
+        assert part.flags.c_contiguous and part.flags.owndata and part.flags.writeable
 
 
 @pytest.mark.parametrize("n, k, xi", [(2**26, 10, 0.0), (2**20, 10, 0.05), (2**20, 20, 0.0)])
@@ -130,7 +141,7 @@ def test_flat_positions_are_int32_on_the_benchmark_cells(n, k, xi):
     # int32 without loss, and the block-wise int32 draws give the offsets of
     # one int32 draw of the whole (|S|, w) table, so designs stay bit-identical
     p = derive_params(n, k, xi=xi)
-    flat = construct_candidate(p, seed=1).flat_positions
+    flat = construct_candidate(p, seed=1).positions()
     assert np.can_cast(flat.dtype, np.int32)
     whole = np.random.default_rng(1).integers(
         0, p.segment_len, size=(p.s_size, p.w), dtype=np.int32
@@ -143,29 +154,44 @@ def test_flat_positions_are_int32_on_the_benchmark_cells(n, k, xi):
 def test_tables_are_uint8_offsets_and_uint16_positions_on_the_benchmark_cells(n, k, xi):
     p = derive_params(n, k, xi=xi)
     mset = construct_candidate(p, seed=1)
-    flat = mset.flat_positions
+    flat = mset.positions()
     assert mset.offsets.dtype == np.uint8
     assert flat.dtype == np.uint16
     seg = np.arange(p.w, dtype=np.int64) * p.segment_len
     assert np.array_equal(flat, mset.offsets.astype(np.int64) + seg)
+    # a narrow pass of MaskingSet.reaching reads segments [0, 4) of every string
+    head = mset.positions(slice(None), 0, 4, by_segment=True)
+    assert head.dtype == np.uint16 and np.array_equal(head, flat[:, :4].T)
 
 
 @pytest.mark.parametrize("n, k, w, ell, dtype", [(2**40, 2**10, 16, 5, np.uint16),
                                                  (2**14 + 1, 2**14 + 1, 1, 15, np.uint32),
+                                                 (2**20, 65, 300, 9, np.uint32),
                                                  (2**40, 2**26, 16, 5, np.uint32)],
-                         ids=["t1=2^16", "t1=2^16+4", "t1=2^32"])
+                         ids=["t1=2^16", "t1=2^16+4", "c1k=260,t1=78000", "t1=2^32"])
 def test_positions_take_the_narrowest_type_that_holds_t1(n, k, w, ell, dtype):
     # t1 = 4 k w.  2^16 + 1 is prime, so no t1 equals it; 2^16 + 4 is the
-    # first t1 past 2^16.  The last position, t1 - 1, is held exactly.  At
-    # t1 = 2^32 usage() and scores() are not called, since a count vector of
-    # t1 entries would take 16 GB
+    # first t1 past 2^16.  c1*k = 260 is the first segment length with
+    # uint16 offsets, and at w = 300 its positions are uint32.  The last
+    # position, t1 - 1, is held exactly.  At t1 = 2^32 usage() and scores()
+    # are not called, since a count vector of t1 entries would take 16 GB
     p = _params(n=n, k=k, w=w, ell=ell, s_size=2)
     offsets = np.array([np.arange(w) % p.segment_len, np.full(w, p.segment_len - 1)])
-    flat = MaskingSet(offsets, p, seed=0).flat_positions
+    mset = MaskingSet(offsets, p, seed=0)
+    flat = mset.positions()
     assert flat.dtype == dtype
     assert int(flat[1, -1]) == p.t1 - 1
     seg = np.arange(w, dtype=np.int64) * p.segment_len
     assert np.array_equal(flat, offsets.astype(np.int64) + seg)
+    tail = mset.positions(slice(None), w // 2, w, by_segment=True)
+    assert tail.dtype == dtype and np.array_equal(tail, flat[:, w // 2:].T)
+    if k == 65:
+        assert mset.offsets.dtype == np.uint16
+        vec = np.zeros(p.t1, dtype=np.uint8)
+        vec[flat[1]] = 1
+        assert mset.scores(vec).tolist() == [int(np.isin(flat[0], flat[1]).sum()), w]
+        assert mset.reaching(vec, w).tolist() == [1]
+        assert np.array_equal(mset.usage([1, 1]), 2 * vec)
 
 
 @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (64, np.uint8), (65, np.uint16),
@@ -190,7 +216,7 @@ def test_usage_counts_in_the_narrowest_type(repeats, dtype):
     chosen = np.random.default_rng(repeats).integers(0, p.s_size, size=repeats)
     got = mset.usage(chosen)
     assert got.dtype == dtype
-    expect = np.bincount(mset.flat_positions[chosen].ravel(), minlength=p.t1)
+    expect = np.bincount(mset.positions(chosen).ravel(), minlength=p.t1)
     assert np.array_equal(got, expect)
 
 
@@ -792,11 +818,10 @@ def test_conditions_match_the_oracle_on_multisets_with_repeats(size):
 
 
 def test_conditions_check_holds_two_bytes_per_string_position():
-    # int32 positions and uint8 usage counts: one check at (2^20, 20) holds
-    # at most 2 |S| w bytes beyond the cached positions
+    # positions formed a block at a time and uint8 usage counts: one check at
+    # (2^20, 20) holds at most 2 |S| w bytes beyond the offsets
     p = derive_params(2**20, 20)
     mset = construct_candidate(p, seed=1)
-    mset.flat_positions
     chosen = np.random.default_rng(0).choice(p.s_size, size=20, replace=False)
     tracemalloc.start()
     try:
@@ -867,10 +892,11 @@ def test_narrow_offsets_round_trip_keeps_the_file_and_a_writable_table(tmp_path,
 
 
 def test_positions_make_the_offsets_read_only():
-    # Copying string 0 over string 1 after one check: the cached positions
-    # would answer for the old table (cond2_all True, where a fresh set with
-    # the edit reads False), so the edit must raise instead, in place from
-    # construction on and by reassignment.
+    # Copying string 0 over string 1 after one check: the set's cached digest
+    # would answer for the old table, and its checks would change answer
+    # (cond2_all True, where a fresh set with the edit reads False), so the
+    # edit must raise instead, in place from construction on and by
+    # reassignment.
     p = derive_params(2**10, 2)
     mset = construct_candidate(p, seed=0)
     with pytest.raises(ValueError, match="read-only"):
@@ -892,6 +918,44 @@ def test_positions_make_the_offsets_read_only():
     for name, value in (("status", STATUS_PROMISING), ("seed", 1), ("params", p)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(mset, name, value)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda mset: pickle.loads(pickle.dumps(mset))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_set_are_rebuilt_through_the_constructor(clone, tmp_path):
+    # a copy holds a read-only table of the same digest, computed again, and
+    # is not its seed's draw: saving it redraws the seed and compares
+    p = derive_params(2**10, 2)
+    mset = construct_candidate(p, seed=3)
+    digest = mset.offsets_sha256
+    again = clone(mset)
+    assert "offsets_sha256" not in vars(again)
+    assert again.offsets_sha256 == digest
+    assert not again.offsets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        again.offsets[1] = again.offsets[0]
+    assert (again.params, again.seed, again.status) == (p, 3, STATUS_UNVERIFIED)
+    assert mset.drawn and not again.drawn
+    _save_set(mset, tmp_path / "drawn.json")
+    _save_set(again, tmp_path / "copy.json")
+    assert (tmp_path / "copy.json").read_bytes() == (tmp_path / "drawn.json").read_bytes()
+
+
+def test_certificate_holds_no_table_of_the_set():
+    # string 0's collisions are counted _GATHER offsets at a time: the
+    # certificate at (2^20, 20), which fails at string 0, holds far less than
+    # the |S| w bool table of one comparison with the whole table (1.19 MB)
+    p = derive_params(2**20, 20)
+    mset = construct_candidate(p, seed=1)
+    tracemalloc.start()
+    try:
+        report = verify_promising(mset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.first_violation[:2] == (0, "max_dev")
+    assert peak < p.s_size * p.w // 4, peak
 
 
 def test_load_detects_tamper(tmp_path):

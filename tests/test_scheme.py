@@ -1,5 +1,7 @@
 import copy
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,12 @@ import scipy.stats
 from bitmix import scheme
 from bitmix.code import ERASURE, Codebook
 from bitmix.errors import InvalidInput, MalformedResultFile
-from bitmix.masking import MaskingSet, STATUS_UNVERIFIED, construct_candidate
+from bitmix.masking import (
+    MaskingSet,
+    STATUS_UNVERIFIED,
+    check_lcs_conditions_all,
+    construct_candidate,
+)
 from bitmix.params import SchemeParams, derive_params
 from bitmix.scheme import (
     Assignment,
@@ -72,11 +79,11 @@ def test_simulate_single_defective_is_string_plus_codeword():
     item = 37
     s = int(asg.index_of(item)[0])
     y1, y2 = simulate_outcomes([item], asg, mset, cb)
-    assert np.array_equal(np.nonzero(y1.bits)[0], np.sort(mset.flat_positions[s]))
-    word = y2.symbols[mset.flat_positions[s]]
+    assert np.array_equal(np.nonzero(y1.bits)[0], np.sort(mset.positions(s)))
+    word = y2.symbols[mset.positions(s)]
     assert np.array_equal(word, cb.encode_index(item))
     off = np.ones(p.t1, dtype=bool)
-    off[mset.flat_positions[s]] = False
+    off[mset.positions(s)] = False
     assert not y2.symbols[off].any()
 
 
@@ -92,18 +99,18 @@ def test_simulate_two_defectives_or_semantics():
 
     y1, y2 = simulate_outcomes([i1, i2], asg, mset, cb)
     both = np.zeros(p.t1, dtype=np.uint8)
-    both[mset.flat_positions[s1]] = 1
-    both[mset.flat_positions[s2]] = 1
+    both[mset.positions(s1)] = 1
+    both[mset.positions(s2)] = 1
     assert np.array_equal(y1.bits, both)
 
     w1 = cb.encode_index(i1)
     w2 = cb.encode_index(i2)
-    shared = np.intersect1d(mset.flat_positions[s1], mset.flat_positions[s2])
-    pos1 = mset.flat_positions[s1]
+    shared = np.intersect1d(mset.positions(s1), mset.positions(s2))
+    pos1 = mset.positions(s1)
     # positions hit by both defectives carry the bitwise OR of the symbols
     for t in shared:
         k1 = int(np.nonzero(pos1 == t)[0][0])
-        pos2 = mset.flat_positions[s2]
+        pos2 = mset.positions(s2)
         k2 = int(np.nonzero(pos2 == t)[0][0])
         assert y2.symbols[t] == int(w1[k1]) | int(w2[k2])
 
@@ -139,7 +146,7 @@ def test_simulate_noisy_requires_rng():
     # noise actually flips something in t1 = 7770 positions at xi = 0.05
     s = asg.index_of(1)[0]
     clean = np.zeros(p.t1, dtype=np.uint8)
-    clean[mset.flat_positions[s]] = 1
+    clean[mset.positions(s)] = 1
     assert not np.array_equal(y1.bits, clean)
 
 
@@ -200,7 +207,7 @@ def test_identify_strings_matches_full_scores():
         for size in [0] + list(rng.integers(1, k + 1, size=19)):
             items = rng.choice(np.arange(1, 5000), size=int(size), replace=False)
             y1, _ = simulate_outcomes(items, asg, mset, cb)
-            head = mset.flat_positions[:, :4]  # the first pass at threshold w
+            head = mset.positions(hi=4)  # the first pass at threshold w
             outlive = np.nonzero(y1.bits[head].all(axis=1))[0]
             if outlive.size == 0:
                 first_pass["none"] += 1
@@ -233,7 +240,7 @@ def test_identify_items_erases_shared_positions():
     s1, s2 = asg.index_of([i1, i2])
     _, y2 = simulate_outcomes([i1, i2], asg, mset, cb)
 
-    shared = np.intersect1d(mset.flat_positions[s1], mset.flat_positions[s2])
+    shared = np.intersect1d(mset.positions(s1), mset.positions(s2))
     corrupted = y2.symbols.copy()
     corrupted[shared] = (corrupted[shared] + 1) % p.q  # garbage at overlaps
     est, failures = identify_items(
@@ -341,7 +348,8 @@ def test_decode_empty():
         lambda y1, y2: (y1, Batch2Outcome(y2.symbols, y2.ell + 1)),
         lambda y1, y2: (Batch1Outcome(y1.bits[:-5]), y2),
         lambda y1, y2: (y1, Batch2Outcome(y2.symbols[:-5], y2.ell)),
-        lambda y1, y2: (y1, Batch2Outcome(y2.symbols + (1 << y2.ell), y2.ell)),
+        # int64: a narrow array plus 2^ell would wrap before the check.
+        lambda y1, y2: (y1, Batch2Outcome(y2.symbols.astype(np.int64) + (1 << y2.ell), y2.ell)),
     ],
     ids=["y1-long", "y1-nonbinary", "y2-ell", "y1-short", "y2-short", "y2-symbol-range"],
 )
@@ -353,11 +361,15 @@ def test_decode_rejects_outcomes_that_do_not_fit_the_design(malform):
 
 
 def _with(outcome, **fields):
-    """A copy of an outcome with fields set after construction, past its checks."""
-    outcome = copy.copy(outcome)
+    """The outcome rebuilt with other fields, once setting them in place has raised.
+
+    The outcomes are frozen, so no field can be set past their checks: the
+    rebuilt outcome goes through them.
+    """
     for name, value in fields.items():
-        setattr(outcome, name, value)
-    return outcome
+        with pytest.raises(FrozenInstanceError):
+            setattr(outcome, name, value)
+    return replace(outcome, **fields)
 
 
 @pytest.mark.parametrize(
@@ -381,8 +393,8 @@ def test_identify_strings_rejects_inputs_that_do_not_fit_the_design(malform):
     # raised a raw IndexError
     p, mset, cb, asg = _design(2**12, 4)
     y1, _ = simulate_outcomes([3, 100, 2000], asg, mset, cb)
-    y1, threshold = malform(y1, batch1_threshold(p))
     with pytest.raises(InvalidInput):
+        y1, threshold = malform(y1, batch1_threshold(p))
         identify_strings(y1, mset, threshold)
 
 
@@ -391,7 +403,8 @@ def test_identify_strings_rejects_inputs_that_do_not_fit_the_design(malform):
     [
         lambda s, y2, strings, cb: (Batch2Outcome(y2.symbols[:-5], y2.ell), strings, cb),
         lambda s, y2, strings, cb: (Batch2Outcome(y2.symbols, y2.ell + 3), strings, cb),
-        lambda s, y2, strings, cb: (_with(y2, symbols=y2.symbols + (1 << y2.ell)), strings, cb),
+        lambda s, y2, strings, cb: (
+            _with(y2, symbols=y2.symbols.astype(np.int64) + (1 << y2.ell)), strings, cb),
         lambda s, y2, strings, cb: (_with(y2, symbols=y2.symbols.astype(float)), strings, cb),
         lambda s, y2, strings, cb: (y2, np.append(strings, s + 5), cb),
         lambda s, y2, strings, cb: (y2, np.append(strings, -1), cb),
@@ -408,8 +421,8 @@ def test_identify_items_rejects_inputs_that_do_not_fit_the_design(malform):
     _, y2 = simulate_outcomes([3, 100, 2000], asg, mset, cb)
     strings = np.unique(asg.index_of([3, 100, 2000]))
     assert identify_items(y2, strings, mset, cb, noisy=False)[0] == {3, 100, 2000}
-    y2, strings, cb = malform(p.s_size, y2, strings, cb)
     with pytest.raises(InvalidInput):
+        y2, strings, cb = malform(p.s_size, y2, strings, cb)
         identify_items(y2, strings, mset, cb, noisy=False)
 
 
@@ -478,19 +491,80 @@ def test_outcome_bytes_layout():
 
 
 def test_outcome_bytes_refuse_fields_set_out_of_range():
-    # the fields are checked when packed, not only when the outcome was made
+    # the outcomes are checked when made, and no field can be set out of
+    # range after that: neither assigned nor edited in place
     p, mset, cb, asg = _design(2**10, 2)
     y1, y2 = simulate_outcomes([5], asg, mset, cb)
-    y2.symbols = y2.symbols.copy()
-    y2.symbols[0] = p.q
-    with pytest.raises(InvalidInput):
-        outcomes_to_bytes(y1, y2)
-    y1.bits = 2 * y1.bits
-    with pytest.raises(InvalidInput):
-        outcomes_to_bytes(y1, Batch2Outcome(np.zeros(p.t1, dtype=np.int64), p.ell))
+    blob = outcomes_to_bytes(y1, y2)
+    with pytest.raises(FrozenInstanceError):
+        y2.symbols = y2.symbols.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        y2.symbols[0] = p.q
+    with pytest.raises(FrozenInstanceError):
+        y1.bits = 2 * y1.bits
+    with pytest.raises(ValueError, match="read-only"):
+        y1.bits[0] = 2
+    assert outcomes_to_bytes(y1, y2) == blob
     # the header holds ell in 16 bits
     with pytest.raises(InvalidInput, match="65535"):
         outcomes_to_bytes(Batch1Outcome([0]), Batch2Outcome([0], ell=70000))
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda outcome: pickle.loads(pickle.dumps(outcome))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_outcomes_are_rebuilt_read_only(clone):
+    p, mset, cb, asg = _design(2**10, 2)
+    y1, y2 = simulate_outcomes([5, 9], asg, mset, cb)
+    b1, b2 = clone(y1), clone(y2)
+    assert b2.ell == y2.ell
+    for old, new in ((y1.bits, b1.bits), (y2.symbols, b2.symbols)):
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+        with pytest.raises(ValueError, match="read-only"):
+            new[0] = 1
+    assert outcomes_to_bytes(b1, b2) == outcomes_to_bytes(y1, y2)
+
+
+def test_outcomes_copy_a_writable_array_once_and_keep_a_read_only_one():
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    y1 = Batch1Outcome(bits)
+    assert not np.shares_memory(y1.bits, bits) and bits.flags.writeable
+    bits[0] = 1
+    assert y1.bits.tolist() == [0, 1, 1]
+    assert Batch1Outcome(y1.bits).bits is y1.bits
+    symbols = np.array([3, 0, 7], dtype=np.int64)
+    y2 = Batch2Outcome(symbols, ell=3)
+    assert y2.symbols.dtype == np.uint8 and symbols.flags.writeable
+    assert Batch2Outcome(y2.symbols, ell=3).symbols is y2.symbols
+    # simulate_outcomes and outcomes_from_bytes hand over arrays of their own
+    p, mset, cb, asg = _design(2**10, 2)
+    y1, y2 = simulate_outcomes([5], asg, mset, cb)
+    for outcome in (y1, y2, *outcomes_from_bytes(outcomes_to_bytes(y1, y2))):
+        array = getattr(outcome, "bits", getattr(outcome, "symbols", None))
+        assert array.flags.owndata and not array.flags.writeable
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.05])
+def test_a_design_holds_one_table(xi):
+    # a set holds its offsets and nothing else: after outcomes, a decode and
+    # a condition check at (2^20, 20), no table of |S| w entries is left
+    # behind (cached uint16 positions took 2 |S| w bytes)
+    p, mset, cb, asg = _design(2**20, 20, xi=xi, seed=1)
+    defectives = np.random.default_rng(0).choice(p.n, size=p.k, replace=False) + 1
+    rng = np.random.default_rng(1) if xi else None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y1, y2 = simulate_outcomes(defectives, asg, mset, cb, rng=rng)
+        result = decode(y1, y2, mset, cb)
+        check_lcs_conditions_all(mset, asg.index_of(defectives))
+        del y1, y2
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    if not xi:
+        assert result.estimate == set(defectives.tolist())
+    assert after - before < p.s_size * p.w, after - before
 
 
 def test_outcome_bytes_rejects_corruption():
@@ -538,7 +612,8 @@ def test_batch2_layout_matches_the_int64_reference(ell, t1):
     assert blob[16 + (t1 + 7) // 8 :] == _reference_batch2(symbols, ell)
     back1, back2 = outcomes_from_bytes(blob)
     assert np.array_equal(back1.bits, bits) and back2.ell == ell
-    assert back2.symbols.dtype == np.int64 and np.array_equal(back2.symbols, symbols)
+    assert back2.symbols.dtype == np.min_scalar_type((1 << ell) - 1)
+    assert np.array_equal(back2.symbols, symbols)
 
 
 @pytest.mark.parametrize("ell", [64, 70, 0xFFFF])
@@ -613,6 +688,8 @@ def test_repeated_defectives_are_refused(defectives):
         lambda: Batch2Outcome(np.array([8, 0]), ell=3),
         lambda: Batch2Outcome(np.array([-1, 0]), ell=3),
         lambda: Batch2Outcome(np.array([2**63], dtype=np.uint64), ell=3),
+        # symbols stay below 2^63 past ell = 63 as well
+        lambda: Batch2Outcome(np.array([2**63], dtype=np.uint64), ell=70),
         lambda: Batch2Outcome([1, 0], ell=5.5),
         lambda: Batch2Outcome([1, 0], ell=True),
         lambda: Batch2Outcome([0, 0], ell=0),
@@ -620,7 +697,7 @@ def test_repeated_defectives_are_refused(defectives):
     ],
     ids=["y1-fraction", "y1-float", "y1-string", "y1-256", "y1-2", "y1-wraps-to-0",
          "y1-negative", "y1-2d", "y2-fraction", "y2-string", "y2-huge", "y2-2^ell",
-         "y2-negative", "y2-wraps-int64", "ell-fraction", "ell-bool", "ell-0", "y2-2d"],
+         "y2-negative", "y2-wraps-int64", "y2-2^63-at-ell-70", "ell-fraction", "ell-bool", "ell-0", "y2-2d"],
 )
 def test_outcomes_refuse_values_they_cannot_hold(make):
     # checked before the cast: no value is truncated, parsed or wrapped
@@ -632,7 +709,7 @@ def test_outcomes_keep_integer_and_bool_vectors():
     assert Batch1Outcome([True, False, True]).bits.tolist() == [1, 0, 1]
     assert Batch1Outcome(np.array([1, 0], dtype=np.int64)).bits.dtype == np.uint8
     y2 = Batch2Outcome(np.array([7, 0], dtype=np.uint8), ell=np.int64(3))
-    assert y2.symbols.tolist() == [7, 0] and y2.symbols.dtype == np.int64
+    assert y2.symbols.tolist() == [7, 0] and y2.symbols.dtype == np.uint8
     assert y2.ell == 3 and type(y2.ell) is int
 
 
